@@ -7,6 +7,7 @@
 
 #include "common/stats.hh"
 #include "quant/rps_engine.hh"
+#include "tensor/ops.hh"
 
 namespace twoinone {
 
@@ -26,58 +27,35 @@ forEachBatch(const Dataset &data, int batch_size, Fn &&fn)
 }
 
 /**
- * RAII: route the network's inference entry points through compiled
- * plans for the duration of an evaluation (predict and
- * predictQuantized execute the flat allocation-free step list instead
- * of the per-layer loops — bit-identical outputs), restoring the
- * previous routing state — including a caller-installed plan shape —
- * on scope exit. Attack generation inside the scope is unaffected:
- * forward()/backward() keep the legacy loops. A no-op on an empty
- * dataset (there is nothing to size a plan for).
+ * A float plan sized for @p data's batches: evaluation predictions
+ * run the flat allocation-free step list instead of the per-layer
+ * loop (bit-identical outputs). Attack generation is unaffected:
+ * forward()/backward() keep the layer loops they need. Warm-up is
+ * lazy: each precision sizes its buffers on its first batch. Null on
+ * an empty dataset (there is nothing to size a plan for).
  */
-class ScopedPlanExecution
+std::unique_ptr<serve::ExecutionPlan>
+evalPlan(Network &net, const Dataset &data, int batch_size)
 {
-  public:
-    ScopedPlanExecution(Network &net, const Dataset &data,
-                        int batch_size)
-        : net_(net), touched_(data.size() > 0),
-          wasEnabled_(net.planExecutionEnabled()),
-          prevShape_(net.planMaxShape())
-    {
-        if (!touched_)
-            return;
-        std::vector<int> shape = data.images.shape();
-        shape[0] = std::min(batch_size, data.size());
-        net_.enablePlanExecution(shape);
-    }
-
-    ~ScopedPlanExecution()
-    {
-        if (!touched_)
-            return;
-        if (wasEnabled_)
-            net_.enablePlanExecution(prevShape_);
-        else
-            net_.disablePlanExecution();
-    }
-
-  private:
-    Network &net_;
-    bool touched_;
-    bool wasEnabled_;
-    std::vector<int> prevShape_;
-};
+    if (data.size() == 0)
+        return nullptr;
+    std::vector<int> shape = data.images.shape();
+    shape[0] = std::min(batch_size, data.size());
+    return net.compile(net.precisionSet(), serve::PlanMode::Float, shape,
+                       /*warm_all=*/false);
+}
 
 } // namespace
 
 double
 naturalAccuracy(Network &net, const Dataset &data, int batch_size)
 {
-    ScopedPlanExecution plans(net, data, batch_size);
+    std::unique_ptr<serve::ExecutionPlan> plan =
+        evalPlan(net, data, batch_size);
     Accuracy acc;
     forEachBatch(data, batch_size,
                  [&](const Tensor &x, const std::vector<int> &y) {
-                     std::vector<int> pred = net.predict(x);
+                     std::vector<int> pred = ops::argmaxRows(plan->run(x));
                      for (size_t i = 0; i < y.size(); ++i)
                          acc.add(pred[i] == y[i]);
                  });
@@ -89,13 +67,16 @@ robustAccuracy(Network &net, Attack &attack, const Dataset &data,
                int attack_bits, int infer_bits, Rng &rng, int batch_size)
 {
     int restore = net.activePrecision();
+    std::unique_ptr<serve::ExecutionPlan> plan =
+        evalPlan(net, data, batch_size);
     Accuracy acc;
     forEachBatch(data, batch_size,
                  [&](const Tensor &x, const std::vector<int> &y) {
                      net.setPrecision(attack_bits);
                      Tensor x_adv = attack.perturb(net, x, y, rng);
                      net.setPrecision(infer_bits);
-                     std::vector<int> pred = net.predict(x_adv);
+                     std::vector<int> pred =
+                         ops::argmaxRows(plan->run(x_adv));
                      for (size_t i = 0; i < y.size(); ++i)
                          acc.add(pred[i] == y[i]);
                  });
@@ -107,9 +88,8 @@ double
 rpsRobustAccuracy(Session &s, Attack &attack, const Dataset &data,
                   Rng &rng, int batch_size)
 {
-    // Inference predictions run plan-routed through the session; the
-    // attack's forward/backward passes keep the legacy loops they
-    // need (Session only reroutes the inference entry points).
+    // Inference predictions run the session's plans; the attack's
+    // forward/backward passes keep the layer loops they need.
     Accuracy acc;
     const PrecisionSet &set = s.candidates();
     forEachBatch(data, batch_size,
@@ -163,10 +143,9 @@ namespace {
 
 /**
  * The shared shape of the Network-level conveniences: wire a
- * temporary attached Session (engine cache on @p set, plan-routed
+ * temporary attached Session (engine cache on @p set, plan-run
  * predictions), run @p fn against it, then restore the network's
- * precision; the Session destructor restores the plan routing. The
- * old five-step wiring, now an internal detail.
+ * precision. The old five-step wiring, now an internal detail.
  */
 template <typename Fn>
 double

@@ -55,7 +55,7 @@ double robustAccuracy(Network &net, Attack &attack, const Dataset &data,
  * uniformly from the session's candidate set — the paper's default
  * threat model where the adversary knows and uses the same candidate
  * set (Sec. 4.1.1). Precision switches run through the session's
- * engine cache; predictions run plan-routed.
+ * engine cache; predictions run the session's compiled plans.
  *
  * @param s Deployed model under test.
  * @param attack Attack to run.
@@ -69,8 +69,8 @@ double rpsRobustAccuracy(Session &s, Attack &attack, const Dataset &data,
 
 /**
  * Network-level convenience: wires a temporary Session (engine cache
- * on @p set, plan-routed predictions) around @p net, runs the Session
- * overload, and restores the network's precision and plan routing.
+ * on @p set, predictions on its plans) around @p net, runs the
+ * Session overload, and restores the network's precision.
  */
 double rpsRobustAccuracy(Network &net, Attack &attack, const Dataset &data,
                          const PrecisionSet &set, Rng &rng,

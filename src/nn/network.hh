@@ -70,9 +70,9 @@ class Network
      * calibrated), Conv2d / Linear consume them through the integer
      * GEMM kernels, and float-domain layers compose through the dense
      * view. Matches forward() within the rounding tolerance
-     * documented in the README's quantized-execution section.
-     * Routes through the compiled quantized plan when plan execution
-     * is enabled (bit-identical either way).
+     * documented in the README's quantized-execution section. This
+     * per-layer loop is the reference a compiled quantized plan is
+     * bit-identical to.
      */
     Tensor forwardQuantized(const Tensor &x);
 
@@ -126,8 +126,7 @@ class Network
     /** Currently active precision (0 = full). */
     int activePrecision() const { return activeBits_; }
 
-    /** Predicted class per row for a batch. Routes through the
-     * compiled float plan when plan execution is enabled. */
+    /** Predicted class per row for a batch (eval forward). */
     std::vector<int> predict(const Tensor &x);
 
     /** Predicted class per row, via the integer datapath. */
@@ -154,28 +153,6 @@ class Network
             const std::vector<int> &max_input_shape,
             bool warm_all = true);
 
-    /**
-     * Route the inference entry points (predict, forwardQuantized,
-     * predictQuantized) through internally compiled plans — one per
-     * mode, compiled lazily on first use for inputs of
-     * @p max_input_shape's trailing dims and batch <= its dim 0
-     * (anything else falls back to the legacy loops, bit-identical).
-     * forward() itself keeps the legacy layer loop: training and the
-     * attacks need the backward caches a plan does not populate.
-     */
-    void enablePlanExecution(const std::vector<int> &max_input_shape);
-
-    /** Drop the compiled plans and return every entry point to the
-     * legacy loops. */
-    void disablePlanExecution();
-
-    /** Whether plan routing is enabled. */
-    bool planExecutionEnabled() const { return planExec_; }
-
-    /** The max input shape plan routing is configured for (empty
-     * when disabled). */
-    const std::vector<int> &planMaxShape() const { return planMaxShape_; }
-
   private:
     PrecisionSet precisionSet_;
     std::vector<LayerPtr> layers_;
@@ -195,16 +172,6 @@ class Network
         q->setFixedRange(1.0f);
         return q;
     }
-
-    bool planExec_ = false;
-    std::vector<int> planMaxShape_;
-    std::unique_ptr<serve::ExecutionPlan> planFloat_;
-    std::unique_ptr<serve::ExecutionPlan> planQuant_;
-
-    /** The internal plan serving @p x in @p mode, compiled on first
-     * use; nullptr when plan execution is off or @p x does not fit
-     * the compiled shape. */
-    serve::ExecutionPlan *planFor(serve::PlanMode mode, const Tensor &x);
 };
 
 } // namespace twoinone

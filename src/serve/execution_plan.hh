@@ -1,7 +1,10 @@
 /**
  * @file
- * Compiled execution plans: the serving datapath behind all of the
- * network's inference entry points.
+ * Compiled execution plans: the serving datapath behind Session's
+ * inference calls, the serving runtimes (one replica per worker) and
+ * the evaluation helpers. The network's own inference entry points
+ * run the per-layer loops, which are the reference every plan is
+ * bit-identical to.
  *
  * A Network is compiled once per (mode, max input shape) into an
  * ExecutionPlan — a flat list of steps (input quantize, int im2col +
@@ -13,11 +16,11 @@
  * reused across forwards; Tensor::allocationCount() pins the contract
  * in tests.
  *
- * Every step runs the exact same kernels as the legacy per-layer
- * loops (Network::forward at eval, Network::forwardQuantized) — the
- * layers' *Into refactors are shared between both paths — so a plan
- * forward is bit-identical to the legacy forward at every candidate
- * precision, cached or uncached. Precision state is read live from
+ * Every step runs the same kernels as the per-layer loops
+ * (Network::forward at eval, Network::forwardQuantized) — the layers'
+ * *Into refactors are shared between both paths — so a plan forward
+ * is bit-identical to the loop forward at every candidate precision,
+ * cached or uncached. Precision state is read live from
  * the layers at execution time: RpsEngine::setPrecision() between
  * runs switches the plan with no recompilation.
  *
@@ -136,12 +139,6 @@ class PlanBuilder
     void addStep(std::string label,
                  std::function<void(ExecutionPlan &)> fn);
 
-    /** Mark the plan as containing a legacy-fallback step (the
-     * default Layer emitter): such steps run the stateful layer
-     * forward, so replicas of this plan must not execute
-     * concurrently. */
-    void markFallback();
-
   private:
     ExecutionPlan &plan_;
     int top_ = 0;
@@ -212,12 +209,6 @@ class ExecutionPlan
     /** Bytes held by the arena values and scratch blocks. */
     size_t arenaBytes() const;
 
-    /** Whether any step runs a stateful legacy layer forward (a
-     * layer without an allocation-free emitter). Such plans are
-     * correct single-threaded but their replicas must not run
-     * concurrently over the shared layers. */
-    bool hasFallbackSteps() const { return hasFallback_; }
-
     /** @name Step-execution accessors (used by emitted closures) */
     /** @{ */
     Value &value(int id);
@@ -254,7 +245,6 @@ class ExecutionPlan
     int inputId_ = 0;
     int outputId_ = 0;
     const Tensor *input_ = nullptr;
-    bool hasFallback_ = false;
 };
 
 } // namespace serve

@@ -11,6 +11,7 @@
 
 #include "io/checkpoint.hh"
 #include "quant/calibration.hh"
+#include "tensor/ops.hh"
 #include "tune/autotuner.hh"
 
 namespace twoinone {
@@ -86,44 +87,14 @@ Session::Session(std::unique_ptr<Network> owned, Network *net,
         ec.pinnedBits = cfg_.pinnedBits;
         engine_->setCacheConfig(std::move(ec));
     }
-    if (owned_ == nullptr) {
-        restorePlanState_ = true;
-        prevPlanExec_ = net_->planExecutionEnabled();
-        prevPlanShape_ = net_->planMaxShape();
-    }
-}
-
-Session::~Session()
-{
-    if (net_ != nullptr && restorePlanState_) {
-        // Engine caches detach through engine_'s destructor; routing
-        // goes back to whatever the owner had configured.
-        if (prevPlanExec_)
-            net_->enablePlanExecution(prevPlanShape_);
-        else
-            net_->disablePlanExecution();
-    }
-}
-
-Session::Session(Session &&other) noexcept
-    : cfg_(std::move(other.cfg_)), owned_(std::move(other.owned_)),
-      net_(other.net_), engine_(std::move(other.engine_)),
-      extEngine_(other.extEngine_),
-      runtime_(std::move(other.runtime_)),
-      tuning_(std::move(other.tuning_)),
-      restorePlanState_(other.restorePlanState_),
-      prevPlanExec_(other.prevPlanExec_),
-      prevPlanShape_(std::move(other.prevPlanShape_))
-{
-    // The moved-from session must not restore the attached network's
-    // routing when it dies — that duty moved here.
-    other.net_ = nullptr;
-    other.restorePlanState_ = false;
 }
 
 Session &
 Session::operator=(Session &&other) noexcept
 {
+    // Tear down in destructor order first (plans and the engine
+    // detach from the layers before an owned network dies); a
+    // memberwise move would free the network first.
     if (this != &other) {
         this->~Session();
         new (this) Session(std::move(other));
@@ -252,40 +223,46 @@ Session::activePrecision() const
     return eng().activePrecision();
 }
 
-void
-Session::ensurePlans(const Tensor &x)
+serve::ExecutionPlan &
+Session::plan(serve::PlanMode mode, const Tensor &x)
 {
-    if (!cfg_.planExecution || net_->planExecutionEnabled())
-        return;
-    net_->enablePlanExecution(x.shape());
+    std::unique_ptr<serve::ExecutionPlan> &slot =
+        mode == serve::PlanMode::Float ? floatPlan_ : quantPlan_;
+    bool fits = slot != nullptr;
+    if (fits) {
+        const std::vector<int> &max = slot->maxInputShape();
+        fits = x.ndim() == static_cast<int>(max.size()) &&
+               x.dim(0) <= max[0];
+        for (size_t i = 1; fits && i < max.size(); ++i)
+            fits = x.dim(static_cast<int>(i)) == max[i];
+    }
+    if (!fits)
+        slot = net_->compile(net_->precisionSet(), mode, x.shape());
+    return *slot;
 }
 
 Tensor
 Session::forward(const Tensor &x)
 {
-    ensurePlans(x);
     return net_->forward(x, /*train=*/false);
 }
 
 Tensor
 Session::forwardQuantized(const Tensor &x)
 {
-    ensurePlans(x);
-    return net_->forwardQuantized(x);
+    return plan(serve::PlanMode::Quantized, x).run(x);
 }
 
 std::vector<int>
 Session::predict(const Tensor &x)
 {
-    ensurePlans(x);
-    return net_->predict(x);
+    return ops::argmaxRows(plan(serve::PlanMode::Float, x).run(x));
 }
 
 std::vector<int>
 Session::predictQuantized(const Tensor &x)
 {
-    ensurePlans(x);
-    return net_->predictQuantized(x);
+    return ops::argmaxRows(plan(serve::PlanMode::Quantized, x).run(x));
 }
 
 serve::ServingRuntime &

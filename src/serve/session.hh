@@ -4,13 +4,12 @@
  *
  * Before sessions, standing a trained RPS model up for serving took a
  * five-step caller ritual: construct the model, attach an RpsEngine,
- * run the Calibrator, compile plans / enablePlanExecution, wrap the
- * lot in a ServingRuntime. A Session is that wiring behind one
- * object:
+ * run the Calibrator, compile plans, wrap the lot in a
+ * ServingRuntime. A Session is that wiring behind one object:
  *
  *   auto s = Session::fromCheckpoint("model.ckpt");
  *   s.serve(requests);            // batched RPS serving
- *   s.predict(x);                 // plan-routed predictions
+ *   s.predict(x);                 // predictions on compiled plans
  *   s.switchPrecision(8);         // explicit precision control
  *   s.stats(); s.precisionTrace();
  *
@@ -22,8 +21,9 @@
  *  - fromNetwork(net): take ownership of an in-process model (e.g.
  *    fresh out of the Trainer) and wire the same stack.
  *  - attach(net): non-owning variant for callers that keep driving
- *    the network directly (the evaluation harness); the network's
- *    plan-execution routing is restored when the session dies.
+ *    the network directly (the evaluation harness). The session's
+ *    plans are its own: the network's own entry points keep running
+ *    the per-layer reference loops, during and after the session.
  *
  * The underlying pieces stay reachable (network()/engine()) — the
  * facade narrows the default path, it does not wall off the internals.
@@ -64,10 +64,6 @@ struct SessionConfig
      * set. A non-empty set overrides a serialized code cache (the
      * cache is built fresh for the requested subset). */
     PrecisionSet cacheSet;
-
-    /** Route predict()/forwardQuantized() through internally compiled
-     * plans (bit-identical to the legacy loops). */
-    bool planExecution = true;
 
     /** Warm-start the engine from a serialized code cache when the
      * checkpoint carries one. */
@@ -142,10 +138,8 @@ class Session
     static Session fromNetwork(Network net,
                                SessionConfig cfg = SessionConfig());
 
-    /** Wire the serving stack around a caller-owned network. The
-     * network's plan-execution routing is restored on session
-     * destruction; its active precision is left wherever the last
-     * switch put it. */
+    /** Wire the serving stack around a caller-owned network. Its
+     * active precision is left wherever the last switch put it. */
     static Session attach(Network &net,
                           SessionConfig cfg = SessionConfig());
 
@@ -158,8 +152,7 @@ class Session
     static Session attach(Network &net, RpsEngine &engine,
                           SessionConfig cfg = SessionConfig());
 
-    ~Session();
-    Session(Session &&) noexcept;
+    Session(Session &&) noexcept = default;
     Session &operator=(Session &&) noexcept;
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
@@ -180,9 +173,15 @@ class Session
     const PrecisionSet &candidates() const { return eng().set(); }
     /** @} */
 
-    /** @name Direct inference (active precision, plan-routed) */
+    /** @name Direct inference (active precision)
+     * predict / predictQuantized / forwardQuantized run the session's
+     * compiled plans, bit-identical to the network's per-layer loops.
+     * A plan compiles on first use for the call's input shape and
+     * recompiles when a later call's batch grows past it or its
+     * trailing dims differ. */
     /** @{ */
-    /** Logits on the float fake-quant datapath. */
+    /** Logits on the float fake-quant datapath (the eval layer
+     * loop). */
     Tensor forward(const Tensor &x);
     /** Logits on the integer-code datapath. */
     Tensor forwardQuantized(const Tensor &x);
@@ -263,9 +262,9 @@ class Session
      * shape from @p first when the config left it empty). */
     serve::ServingRuntime &runtime(const Tensor *first);
 
-    /** Route the network's entry points through plans sized for
-     * @p x (first call only; later shapes fall back gracefully). */
-    void ensurePlans(const Tensor &x);
+    /** The session's @p mode plan, (re)compiled for @p x's shape
+     * when none exists yet or @p x does not fit the current one. */
+    serve::ExecutionPlan &plan(serve::PlanMode mode, const Tensor &x);
 
     SessionConfig cfg_;
     std::unique_ptr<Network> owned_; ///< null for attach()
@@ -277,11 +276,8 @@ class Session
     std::unique_ptr<serve::ServingRuntime> runtime_;
     /** Tuning artifact carried by the loaded checkpoint (if any). */
     std::unique_ptr<tune::TuningArtifact> tuning_;
-
-    /** attach(): the network's plan-routing state to restore. */
-    bool restorePlanState_ = false;
-    bool prevPlanExec_ = false;
-    std::vector<int> prevPlanShape_;
+    std::unique_ptr<serve::ExecutionPlan> floatPlan_;
+    std::unique_ptr<serve::ExecutionPlan> quantPlan_;
 };
 
 } // namespace twoinone

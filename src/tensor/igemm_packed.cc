@@ -117,6 +117,15 @@ isaSlot()
     return s;
 }
 
+/** The tier a packed call dispatches to: the active tier, except the
+ * scalar loops under the naive reference backend. */
+IsaTier
+dispatchTier()
+{
+    return activeBackend() == Backend::Naive ? IsaTier::Scalar
+                                             : isaSlot().active;
+}
+
 /** Signed symmetric grid magnitude (w_bits == 1 is the {-1,+1} binary
  * grid — magnitude 1, matching LinearQuantizer::signedQmax). */
 inline int64_t
@@ -146,8 +155,8 @@ storePackedCol(const PackedIntWeights &w, int row0, int rows, int j,
     for (int ch = 0; ch < rows; ++ch) {
         int64_t v = res[ch];
         if (biased)
-            v += w.rowSum[static_cast<size_t>(row0 + ch)] << 15;
-        v <<= shift;
+            v += w.rowSum[static_cast<size_t>(row0 + ch)] * 32768;
+        v *= int64_t{1} << shift; // a multiply: v may be negative
         int64_t *dst = ct ? c + static_cast<size_t>(j) * ldc + row0 + ch
                           : c + static_cast<size_t>(row0 + ch) * ldc + j;
         if (accumulate)
@@ -225,7 +234,7 @@ kernelScalarU16(const PackedIntWeights &w, int jlo, int jhi,
                                    static_cast<int64_t>(bj[base + e]);
             }
             for (int ch = 0; ch < rows; ++ch) {
-                int64_t v = acc[ch] << shift;
+                int64_t v = acc[ch] * (int64_t{1} << shift);
                 int64_t *dst =
                     ct ? c + static_cast<size_t>(j) * ldc + row0 + ch
                        : c + static_cast<size_t>(row0 + ch) * ldc + j;
@@ -730,7 +739,7 @@ runPackedU16(const PackedIntWeights &w, int n, const uint16_t *b, int ldb,
 {
     if (n <= 0 || w.m <= 0)
         return;
-    const IsaTier tier = activeIsaTier();
+    const IsaTier tier = dispatchTier();
     ops::gatedParallelFor(
         n, columnGrain(w.m, w.k), [&](int64_t lo, int64_t hi) {
             const int jlo = static_cast<int>(lo);
@@ -847,7 +856,7 @@ igemmPackedTransB(const PackedIntWeights &w, int n, const uint8_t *b,
     const int64_t qa = (int64_t{1} << a_bits) - 1;
     const bool fits32 =
         qw * qa * w.k <= std::numeric_limits<int32_t>::max();
-    const IsaTier tier = activeIsaTier();
+    const IsaTier tier = dispatchTier();
     const bool maddubs_safe = 2 * qw * qa <= 32767;
     ops::gatedParallelFor(
         n, columnGrain(w.m, w.k), [&](int64_t lo, int64_t hi) {

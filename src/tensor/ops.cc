@@ -292,6 +292,15 @@ argmaxRow(const Tensor &logits, int row)
     return best;
 }
 
+std::vector<int>
+argmaxRows(const Tensor &logits)
+{
+    std::vector<int> preds(static_cast<size_t>(logits.dim(0)));
+    for (int i = 0; i < logits.dim(0); ++i)
+        preds[static_cast<size_t>(i)] = argmaxRow(logits, i);
+    return preds;
+}
+
 float
 linfDistance(const Tensor &a, const Tensor &b)
 {

@@ -85,6 +85,8 @@ float maxAbs(const Tensor &a);
 float maxVal(const Tensor &a);
 /** Index of the maximum element of a rank-1 tensor or a row. */
 int argmaxRow(const Tensor &logits, int row);
+/** argmaxRow of every row of rank-2 logits (predicted classes). */
+std::vector<int> argmaxRows(const Tensor &logits);
 /** L-infinity distance between two same-shape tensors. */
 float linfDistance(const Tensor &a, const Tensor &b);
 /** L2 norm of all elements. */

@@ -72,8 +72,9 @@ struct CandidateReport
     double cost = 0.0;
     /** Calibrated per-row prediction at the probed precision (ns). */
     double predictedRowNs = 0.0;
-    /** Measured per-row probe at the same geometry+precision (ns);
-     * 0 when probes are disabled. */
+    /** Measured per-row probe at the same geometry+precision (ns):
+     * the fastest of several timed executes after a warm-up; 0 when
+     * probes are disabled. */
     double measuredRowNs = 0.0;
     /** |predicted - measured| / measured * 100; 0 when unprobed. */
     double errorPct = 0.0;

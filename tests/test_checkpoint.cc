@@ -598,19 +598,27 @@ TEST(Session, FailedSwitchPrecisionKeepsPriorPrecisionServing)
     expectBitIdentical(y_ref, s.forward(x), bits);
 }
 
-/** attach() leaves the caller's network routing as it found it. */
-TEST(Session, AttachRestoresPlanRouting)
+/** A dead attached session leaves the caller's network computing
+ * exactly what it computed before: the session's plans were its own
+ * and the network's entry points keep their per-layer loops. */
+TEST(Session, DeadAttachedSessionLeavesNetworkOutputsUnchanged)
 {
     Network net = makeTinyNet(49);
     Tensor x = makeInput(13);
-    ASSERT_FALSE(net.planExecutionEnabled());
+    net.setPrecision(8);
+    Tensor ref_f = net.forward(x, /*train=*/false);
+    Tensor ref_q = net.forwardQuantized(x);
+    std::vector<int> ref_pred = net.predictQuantized(x);
     {
         Session s = Session::attach(net);
         s.switchPrecision(8);
         s.predict(x);
-        EXPECT_TRUE(net.planExecutionEnabled());
+        s.predictQuantized(x);
     }
-    EXPECT_FALSE(net.planExecutionEnabled());
+    ASSERT_EQ(net.activePrecision(), 8);
+    expectBitIdentical(ref_f, net.forward(x, /*train=*/false), 8);
+    expectBitIdentical(ref_q, net.forwardQuantized(x), 8);
+    EXPECT_EQ(ref_pred, net.predictQuantized(x));
 }
 
 /** Deterministic training fixture shared by the momentum round-trip

@@ -472,29 +472,123 @@ expectConvMatchesBitSerial(RpsEngine &engine, Conv2d *conv,
     }
 }
 
-/** The int codes forwardQuantized consumes are bit-identical to the
- * engine's cached codes, and running those very codes through the
- * cycle-accurate bit-serial MAC array reproduces the layer's integer
- * accumulators exactly — for bits {2,4,8,16}. */
+/** Plain gemm::igemmTransB over one traced conv's codes (int im2col
+ * per image) reproduces its integer accumulators exactly — the
+ * independent oracle of the packed kernels the network runs. */
+void
+expectConvMatchesIgemm(Conv2d *conv, int bits)
+{
+    const QuantTensor &wq = conv->tracedWeightCodes();
+    const QuantTensor &acts = conv->tracedActCodes();
+    ASSERT_EQ(acts.shape.size(), 4u) << "bits=" << bits;
+    int n = acts.shape[0], c = acts.shape[1], h = acts.shape[2],
+        w = acts.shape[3];
+    int k = conv->kernel(), m = conv->outChannels();
+    int oh = conv->outSize(h), ow = conv->outSize(w);
+    int patch = c * k * k, ohw = oh * ow;
+    const std::vector<int64_t> &acc = conv->tracedAccumulators();
+    ASSERT_EQ(acc.size(), static_cast<size_t>(n) * m * ohw);
+
+    std::vector<int16_t> w16(wq.codes.begin(), wq.codes.end());
+    std::vector<uint16_t> cols(static_cast<size_t>(ohw) * patch);
+    std::vector<int64_t> ref(static_cast<size_t>(m) * ohw);
+    for (int ni = 0; ni < n; ++ni) {
+        const int32_t *img =
+            acts.codes.data() + static_cast<size_t>(ni) * c * h * w;
+        uint16_t *col = cols.data();
+        for (int oy = 0; oy < oh; ++oy)
+            for (int ox = 0; ox < ow; ++ox)
+                for (int ci = 0; ci < c; ++ci)
+                    for (int ky = 0; ky < k; ++ky)
+                        for (int kx = 0; kx < k; ++kx) {
+                            int iy = oy * conv->stride() -
+                                     conv->padding() + ky;
+                            int ix = ox * conv->stride() -
+                                     conv->padding() + kx;
+                            bool in = iy >= 0 && iy < h && ix >= 0 &&
+                                      ix < w;
+                            *col++ = static_cast<uint16_t>(
+                                in ? img[(ci * h + iy) * w + ix] : 0);
+                        }
+        gemm::igemmTransB(m, ohw, patch, w16.data(), patch, cols.data(),
+                          patch, ref.data(), ohw, wq.bits, acts.bits);
+        for (size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ref[i], acc[ni * ref.size() + i])
+                << "bits=" << bits << " image=" << ni << " i=" << i;
+    }
+}
+
+/** Plain wide gemm::igemmTransB over the traced codes reproduces the
+ * Linear head's integer accumulators exactly. */
+void
+expectLinearMatchesIgemm(Linear *fc, int bits)
+{
+    const QuantTensor &wq = fc->tracedWeightCodes();
+    const QuantTensor &acts = fc->tracedActCodes();
+    ASSERT_EQ(acts.shape.size(), 2u) << "bits=" << bits;
+    int n = acts.shape[0], in = fc->inFeatures(), out = fc->outFeatures();
+    std::vector<int64_t> ref(static_cast<size_t>(n) * out);
+    gemm::igemmTransB(n, out, in, acts.codes.data(), in, wq.codes.data(),
+                      in, ref.data(), out);
+    EXPECT_EQ(ref, fc->tracedAccumulators()) << "bits=" << bits;
+}
+
+/** The int codes the integer datapath consumes are bit-identical to
+ * the engine's cached codes; its accumulators equal plain
+ * gemm::igemmTransB over the traced codes, and for convs also the
+ * cycle-accurate bit-serial MAC array fed those very codes. Covers
+ * every weight-quantized layer of convNetTiny (stem, inner conv,
+ * Linear head) at bits {2,4,8,16} and of preActResNetMini (including
+ * the projection shortcut) at every candidate, through both the
+ * per-layer loop and a compiled plan. */
 TEST(ForwardQuantized, CodesBitIdenticalToBitSerialDatapath)
 {
-    PrecisionSet set({2, 4, 8, 16});
-    Network net = makeTinyNet(41, set);
-    Tensor x = makeInput(42, /*batch=*/2);
-    Calibrator cal(net);
-    cal.calibrate({x});
-    RpsEngine engine(net);
-
-    // convNetTiny layer 4 is the conv fed by the first ActQuant; it
-    // is weight-quantized layer #1 in collection order.
-    auto *conv = dynamic_cast<Conv2d *>(&net.layer(4));
-    ASSERT_NE(conv, nullptr);
-    conv->setQuantTrace(true);
+    Rng rng(47);
+    ModelConfig cfg;
+    cfg.baseWidth = 8;
+    std::vector<Network> nets;
+    nets.push_back(makeTinyNet(41, PrecisionSet({2, 4, 8, 16})));
+    nets.push_back(preActResNetMini(cfg, rng));
 
     MacArraySimulator sim(8);
-    for (int bits : set.bits()) {
-        engine.forwardQuantizedAt(bits, x);
-        expectConvMatchesBitSerial(engine, conv, 1, bits, sim);
+    for (Network &net : nets) {
+        Tensor x = makeInput(42, /*batch=*/2);
+        Calibrator cal(net);
+        cal.calibrate({x});
+        RpsEngine engine(net);
+        std::unique_ptr<serve::ExecutionPlan> plan = net.compile(
+            net.precisionSet(), serve::PlanMode::Quantized, x.shape());
+        std::vector<WeightQuantizedLayer *> layers =
+            net.weightQuantizedLayers();
+
+        for (int bits : net.precisionSet().bits()) {
+            for (bool via_plan : {false, true}) {
+                SCOPED_TRACE(via_plan ? "plan" : "loop");
+                for (WeightQuantizedLayer *l : layers) {
+                    l->setQuantTrace(false); // drop the last trace
+                    l->setQuantTrace(true);
+                }
+                if (via_plan) {
+                    engine.setPrecision(bits);
+                    plan->run(x);
+                } else {
+                    engine.forwardQuantizedAt(bits, x);
+                }
+                for (size_t i = 0; i < layers.size(); ++i) {
+                    if (auto *conv = dynamic_cast<Conv2d *>(layers[i])) {
+                        expectConvMatchesBitSerial(engine, conv, i, bits,
+                                                   sim);
+                        expectConvMatchesIgemm(conv, bits);
+                    } else {
+                        auto *fc = dynamic_cast<Linear *>(layers[i]);
+                        ASSERT_NE(fc, nullptr);
+                        expectLinearMatchesIgemm(fc, bits);
+                    }
+                }
+            }
+        }
+        for (WeightQuantizedLayer *l : layers)
+            l->setQuantTrace(false);
     }
 }
 
@@ -545,10 +639,8 @@ struct TierRestore
 
 /** The full quantized forward — conv stack through the Linear head —
  * is bit-identical between the dispatched SIMD tier and the forced
- * scalar reference tier at every rps4to16 candidate. The scalar tier
- * runs the legacy reference igemm rows (the packed gate turns off),
- * so this is also the packed-fast-path vs legacy-rows diff for both
- * Conv2d and the classifier's wide Linear GEMM. */
+ * scalar tier of the packed kernels at every rps4to16 candidate, for
+ * both Conv2d and the classifier's wide Linear GEMM. */
 TEST(ForwardQuantized, ScalarTierBitIdenticalEndToEnd)
 {
     Network net = makeTinyNet(61);

@@ -19,6 +19,7 @@
 #include "quant/calibration.hh"
 #include "quant/rps_engine.hh"
 #include "serve/runtime.hh"
+#include "serve/session.hh"
 
 namespace twoinone {
 namespace {
@@ -216,31 +217,29 @@ TEST(ExecutionPlan, DeterministicAcrossThreadCounts)
     }
 }
 
-/** Network entry points route through the internal plans when
- * enabled, with identical predictions either way. */
-TEST(ExecutionPlan, EntryPointsRouteThroughPlans)
+/** Session's plan-run entry points are bit-identical to the
+ * network's per-layer loops at every candidate: on the first batch
+ * (compiles), a larger batch (recompiles), a smaller batch (reuses the
+ * plan) and a different trailing shape (recompiles). */
+TEST(Session, EntryPointsBitIdenticalToNetworkLoops)
 {
     Network net = makeTinyNet(48);
-    Tensor x = makeInput(13);
-    RpsEngine engine(net);
-    engine.setPrecision(6);
+    Session s = Session::attach(net);
+    Rng rng(16);
+    std::vector<Tensor> inputs = {
+        makeInput(13), makeInput(14, 8), makeInput(15, 2),
+        Tensor::uniform({4, 3, 12, 12}, rng, 0.0f, 1.0f)};
 
-    std::vector<int> legacy_f = net.predict(x);
-    std::vector<int> legacy_q = net.predictQuantized(x);
-    Tensor legacy_fq = net.forwardQuantized(x);
-
-    net.enablePlanExecution(x.shape());
-    EXPECT_TRUE(net.planExecutionEnabled());
-    EXPECT_EQ(net.predict(x), legacy_f);
-    EXPECT_EQ(net.predictQuantized(x), legacy_q);
-    expectBitIdentical(legacy_fq, net.forwardQuantized(x), 6);
-
-    // Inputs outside the compiled shape fall back to the legacy loop.
-    Tensor big = makeInput(14, 8);
-    std::vector<int> pred_big = net.predict(big);
-    net.disablePlanExecution();
-    EXPECT_FALSE(net.planExecutionEnabled());
-    EXPECT_EQ(net.predict(big), pred_big);
+    for (const Tensor &x : inputs) {
+        for (int bits : s.candidates().bits()) {
+            s.switchPrecision(bits);
+            EXPECT_EQ(s.predict(x), net.predict(x)) << "bits=" << bits;
+            EXPECT_EQ(s.predictQuantized(x), net.predictQuantized(x))
+                << "bits=" << bits;
+            expectBitIdentical(net.forwardQuantized(x),
+                               s.forwardQuantized(x), bits);
+        }
+    }
 }
 
 /** im2col gather tables are geometry-pure and come from a shared
