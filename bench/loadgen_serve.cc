@@ -1,16 +1,19 @@
 /**
  * @file
- * Open-loop load generator for the asynchronous serving front-end
- * (serve::Server) — the ISSUE 7 tentpole benchmark.
+ * Open-loop load generator for the serving front-end (serve::Server).
  *
  * Measures, against one preact_mini tenant:
  *
- *  1. serial_qps — the synchronous ServingRuntime drained under
- *     ThreadPool::ScopedSerial: the single-thread reference the
- *     paper-style RPS pipeline had before the event loop.
- *  2. async_qps — the Server at saturation (a pre-filled backlog,
- *     flushed): dispatcher thread + pool-sharded micro-batches.
- *     scaling = async_qps / serial_qps.
+ *  1. serial_qps — a Session drained under ThreadPool::ScopedSerial:
+ *     drain() flushes the session's single-tenant Server on the
+ *     calling thread, so the guard runs every batch on one thread.
+ *     The single-thread reference; Session stats divide rows by the
+ *     summed batch execution time.
+ *  2. async_qps — the Server at saturation: a pre-filled backlog,
+ *     then resume() and flush() (the dispatcher starts on the
+ *     backlog, flush() finishes it on the calling thread), with
+ *     micro-batches sharded across the pool; rows over the wall time
+ *     of the resume-to-flush window. scaling = async_qps / serial_qps.
  *  3. An open-loop Poisson sweep: offered rows/s laddered up to and
  *     past the measured saturation point. Arrivals are scheduled from
  *     seeded exponential inter-arrival draws and submitted at their

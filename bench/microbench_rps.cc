@@ -280,8 +280,9 @@ main()
                 qplan->arenaBytes() / 1024);
 
     // --- Batched RPS serving throughput ----------------------------
-    // The Session facade wires the serving stack (plans + runtime)
-    // around the shared net/engine; requests pack into batches, one
+    // The Session facade wires the serving stack (plans + a
+    // single-tenant Server) around the shared net/engine, and drain()
+    // computes on the calling thread; requests pack into batches, one
     // random precision per batch from the engine cache, micro-batches
     // sharded across the pool. Serial (ScopedSerial) vs the full pool
     // measures thread scaling of the serving datapath. Eager plan
@@ -324,15 +325,16 @@ main()
                 serve_parallel.p50Us, serve_parallel.p99Us);
 
     // --- Session cold start: eager vs lazy plan compilation --------
-    // Standing a serving runtime up compiles one plan replica per
-    // worker; eager warm-up dry-runs every candidate per replica,
-    // lazy compilation (SessionConfig default) runs one structural
-    // pass and lets each candidate size its buffers on first serve.
+    // Standing serving up compiles one plan replica per worker in a
+    // BatchExecutor; eager warm-up dry-runs every candidate per
+    // replica, lazy compilation (SessionConfig default) runs one
+    // structural pass and lets each candidate size its buffers on
+    // first serve.
     auto cold_start = [&](bool lazy) {
         serve::ServeConfig cs = scfg;
         cs.lazyPlanWarmup = lazy;
-        serve::ServingRuntime srv(net, engine, {3, 8, 8}, cs);
-        (void)srv;
+        serve::BatchExecutor exec(net, engine, {3, 8, 8}, cs);
+        (void)exec;
     };
     double cold_eager_ns =
         timeNs([&] { cold_start(false); }, min_seconds);

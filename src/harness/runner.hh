@@ -8,7 +8,10 @@
  * through Session::fromCheckpoint (the same artifact-load path
  * production takes, retry budget included), then drives the declared
  * traffic phases against the live session while the FaultInjector
- * fires the scheduled faults. Everything observable lands in the
+ * fires the scheduled faults. Traffic takes one path: a serve::Server
+ * over the live session (plus serving.sessions - 1 tenant sessions
+ * sharing its engine), paused on a frozen ManualClock and flushed on
+ * the runner's thread. Everything observable lands in the
  * bundle directory:
  *
  *   <out>/<scenario-name>/
@@ -98,16 +101,15 @@ class ScenarioRunner
     void soakCycle(int phase, int cycle, const PhaseSpec &ps);
 
     /** Serve @p xs in order and return each request's logits (empty
-     * tensor for a shed request). Routes through the async Server
-     * (round-robin over the tenant sessions, then flush) when the
-     * spec says "async", else through the synchronous drain —
-     * @p starved wraps that drain in ScopedSerial. */
+     * tensor for a shed request): submit round-robin over the tenant
+     * sessions, then flush() on this thread — @p starved wraps that
+     * flush in ScopedSerial. */
     std::vector<Tensor> serveRequests(std::vector<Tensor> xs,
                                       bool starved);
 
-    /** (Re)build the async Server over the live session: tenant 0 is
+    /** (Re)build the paused Server over the live session: tenant 0 is
      * the deployed session, tenants 1..n-1 attach to its network
-     * sharing its engine. Called at deploy and after a soak reload
+     * sharing its engine. Called at deploy and whenever a reload
      * replaces the session. */
     void rebuildServer();
 
@@ -144,8 +146,9 @@ class ScenarioRunner
     DatasetPair data_;
     Rng attackRng_;
 
-    /** @name Async serving (spec_.serving.async)
-     * The Server's time source is a ManualClock the runner never
+    /** @name Serving
+     * All traffic goes through one Server, paused so batches form only
+     * in flush(). Its time source is a ManualClock the runner never
      * advances: age closes and deadline expiries cannot fire on wall
      * time, so batch composition — and every journaled count and
      * digest — is a pure function of the spec + seed. */
@@ -159,13 +162,12 @@ class ScenarioRunner
     std::vector<size_t> tenantTraceMarks_; ///< journaled trace prefix
     /** @} */
 
-    int cursor_ = 0;       ///< test-set traffic cursor
-    size_t traceMark_ = 0; ///< journaled prefix of the live trace
+    int cursor_ = 0; ///< test-set traffic cursor
 
     // Pending checkpoint faults (armed at the next save / load).
     const FaultSpec *pendingTorn_ = nullptr;
     const FaultSpec *pendingCorrupt_ = nullptr;
-    bool starveNextDrain_ = false;
+    bool starveNextFlush_ = false;
 
     // Accumulators across session replacements.
     uint64_t accRequests_ = 0, accRows_ = 0, accBatches_ = 0;

@@ -193,7 +193,7 @@ parseServing(const Json &j, const std::string &path)
     const Json &obj = expectObject(j, path);
     rejectUnknownKeys(obj, path,
                       {"max_batch", "micro_batch", "mode", "replicas",
-                       "lazy_warmup", "async", "sessions",
+                       "lazy_warmup", "sessions",
                        "max_delay_us", "deadline_us", "policy",
                        "draw_bits", "draw_weights"});
     ServingSpec s;
@@ -208,7 +208,6 @@ parseServing(const Json &j, const std::string &path)
                      {"quantized", "float"});
     s.replicas = getInt(obj, "replicas", path, 0, 0, 256);
     s.lazyWarmup = getBool(obj, "lazy_warmup", path, true);
-    s.async = getBool(obj, "async", path, false);
     s.sessions = getInt(obj, "sessions", path, 1, 1, 64);
     s.maxDelayUs = getInt(obj, "max_delay_us", path, 0, 0, 10000000);
     s.deadlineUs = getInt(obj, "deadline_us", path, 0, 0, 10000000);
@@ -256,18 +255,6 @@ parseServing(const Json &j, const std::string &path)
     } else if (!s.drawBits.empty()) {
         s.drawWeights.assign(s.drawBits.size(), 1.0);
     }
-    if (!s.async && s.policy != "round_robin")
-        throw SpecError(path + ".policy",
-                        "scheduling policy only applies to async "
-                        "serving");
-    if (!s.async && s.sessions > 1)
-        throw SpecError(path + ".sessions",
-                        "multi-session serving requires "
-                        "\"async\": true");
-    if (!s.async && (s.maxDelayUs > 0 || s.deadlineUs > 0))
-        throw SpecError(path + ".async",
-                        "max_delay_us / deadline_us only apply to "
-                        "async serving");
     return s;
 }
 
@@ -601,20 +588,6 @@ parseScenario(const Json &doc)
                 parseFault(faults->items()[i],
                            "$.faults[" + std::to_string(i) + "]",
                            s.phases));
-    }
-
-    // starve_pool pins the *calling* thread to serial execution
-    // (thread-local ScopedSerial); the async server computes on its
-    // own dispatcher thread, which the fault could never reach — a
-    // spec asking for both is wrong, not silently ineffective.
-    if (s.serving.async) {
-        for (size_t i = 0; i < s.faults.size(); ++i) {
-            if (s.faults[i].type == "starve_pool")
-                throw SpecError(
-                    "$.faults[" + std::to_string(i) + "]",
-                    "starve_pool cannot reach the async dispatcher "
-                    "thread — use synchronous serving");
-        }
     }
 
     if (const Json *c = obj.find("compare"))

@@ -71,19 +71,15 @@ struct ServingSpec
     std::string mode = "quantized"; ///< quantized | float
     int replicas = 0;
     bool lazyWarmup = true;
-    /** Route traffic through the async serve::Server (deterministic
-     * under the harness ManualClock) instead of the synchronous
-     * drain. */
-    bool async = false;
-    /** Tenant sessions multiplexed over the model (async only;
-     * tenants share the engine, round-robin traffic). */
+    /** Tenant sessions multiplexed over the model (tenants share
+     * the engine, round-robin traffic). */
     int sessions = 1;
-    /** Async batch-age close (ManualClock microseconds; 0 = close
-     * partial batches only on flush). */
+    /** Batch-age close (ManualClock microseconds; 0 = close partial
+     * batches only on flush). */
     int maxDelayUs = 0;
     /** Per-request deadline (ManualClock microseconds; 0 = none). */
     int deadlineUs = 0;
-    /** Async batch-picking policy across tenants. */
+    /** Batch-picking policy across tenants. */
     std::string policy = "round_robin"; ///< round_robin | edf
     /** Precision draw distribution for served batches (empty =
      * uniform over the model's candidate set, bit-identical to specs

@@ -10,12 +10,11 @@
  * a globally ordered sequence number drawn from one atomic counter;
  * consumers always pop the lowest-sequence head across the shards, so
  * the queue is FIFO in submission order even though the storage is
- * sharded — which is what makes async batch composition reproduce the
- * synchronous drain's packing exactly when submissions are ordered.
+ * sharded — which is what makes batch composition a pure function of
+ * the submission order.
  *
- * Consumers serialize on a dedicated pop mutex (the dispatcher is the
- * only steady-state consumer; the lock exists so shutdown paths and
- * future multi-dispatcher configurations stay correct), while
+ * Consumers serialize on a dedicated pop mutex (the dispatcher or a
+ * flushing caller, one at a time, plus the shutdown path), while
  * producers keep their sharded fast path. Capacity is enforced with
  * an atomic size counter: tryPush refuses when full, which is the
  * admission-control point — the Server turns that refusal into a

@@ -3,12 +3,14 @@
  * serve::Server implementation — the dispatcher event loop.
  *
  * Locking: mu_ guards tenant registration, pending batches, stats,
- * and the pause/flush/stop flags; each RequestQueue carries its own
- * internal locks. submit never holds a queue lock while waiting for
- * mu_ (tryPush releases the shard lock before the stats update), so
- * the dispatcher may pop queues while holding mu_ without a lock-
- * order cycle. Batch compute runs with mu_ *released* — producers
- * keep admitting while a batch executes.
+ * and the pause/flush/stop/executing flags; each RequestQueue carries
+ * its own internal locks. submit never holds a queue lock while
+ * waiting for mu_ (tryPush releases the shard lock before the stats
+ * update), so the dispatcher or a flusher may pop queues while
+ * holding mu_ without a lock-order cycle. Batch compute runs with mu_
+ * *released* — producers keep admitting while a batch executes — and
+ * executing_ keeps it to one batch at a time across the dispatcher
+ * and flushing callers.
  */
 
 #include "serve/server.hh"
@@ -111,7 +113,6 @@ Server::addTenant(Session &session, const std::vector<int> &input_shape)
     }
 
     auto t = std::make_unique<Tenant>();
-    t->session = &session;
     t->group = group;
     t->queue = std::make_unique<RequestQueue>(
         cfg_.queueShards, static_cast<size_t>(cfg_.queueCapacity));
@@ -217,13 +218,12 @@ Server::closeable(const Tenant &t, uint64_t now_ns) const
     if (t.pending.empty())
         return false;
     // Size close: full, or the stashed head request does not fit —
-    // the same whole-request packing boundary the synchronous drain
-    // uses.
+    // whole requests only, never split across batches.
     if (t.pendingRows >= t.group->exec->maxBatch() ||
         t.stash.has_value())
         return true;
     // Flush close: nothing more is coming; serve the partial batch.
-    if (flushing_ && !t.stash.has_value() && t.queue->empty())
+    if (flushing_ > 0 && !t.stash.has_value() && t.queue->empty())
         return true;
     // Age close: the oldest request has waited out the batch delay
     // (disabled entirely at <= 0 — partial batches then wait for
@@ -241,69 +241,81 @@ Server::dispatchLoop()
 {
     std::unique_lock<std::mutex> lk(mu_);
     while (!stop_) {
-        if (paused_ && !flushing_) {
+        // Paused, or a flush() is serving on its caller's thread:
+        // stand aside so one batch executes at a time.
+        if (paused_ || flushing_ > 0) {
             cv_.wait(lk, [this] {
-                return stop_ || !paused_ || flushing_;
+                return stop_ || (!paused_ && flushing_ == 0);
             });
             continue;
         }
-        uint64_t now = clock_->nowNs();
-
-        int picked = -1;
-        if (cfg_.policy == SchedulingPolicy::EarliestDeadlineFirst) {
-            // Deadline scheduling: fill every tenant, then serve the
-            // closeable batch whose most urgent pending request has
-            // the earliest absolute deadline. No deadline sorts last
-            // (UINT64_MAX); ties break to the lowest tenant id, so
-            // the pick order is deterministic under a ManualClock.
-            uint64_t best = UINT64_MAX;
-            for (size_t id = 0; id < tenants_.size(); ++id) {
-                Tenant &t = *tenants_[id];
-                fillPending(t);
-                if (!closeable(t, now))
-                    continue;
-                uint64_t key = earliestDeadlineNs(t);
-                if (picked < 0 || key < best) {
-                    picked = static_cast<int>(id);
-                    best = key;
-                }
-            }
+        if (serveNext(lk)) {
+            if (flushing_ > 0)
+                cv_.notify_all(); // a flush() waits for this batch
         } else {
-            // Fair scheduling: scan tenants round-robin from the
-            // cursor, serving at most one closed batch per turn so a
-            // backlogged tenant cannot starve the others.
-            for (size_t i = 0; i < tenants_.size(); ++i) {
-                size_t id = (cursor_ + i) % tenants_.size();
-                Tenant &t = *tenants_[id];
-                fillPending(t);
-                if (closeable(t, now)) {
-                    picked = static_cast<int>(id);
-                    break;
-                }
-            }
-        }
-        if (picked < 0) {
             // Nothing closeable: idle until a submit lands or (real)
             // time passes. The poll bounds how late an age close or a
             // ManualClock advance is noticed; batching *decisions*
             // only ever read clock_.
             cv_.wait_for(lk,
                          std::chrono::microseconds(cfg_.idlePollUs));
-            continue;
         }
-
-        Tenant *t = tenants_[static_cast<size_t>(picked)].get();
-        std::vector<AsyncRequest> batch = std::move(t->pending);
-        t->pending.clear();
-        t->pendingRows = 0;
-        cursor_ = (static_cast<size_t>(picked) + 1) % tenants_.size();
-
-        lk.unlock();
-        executeBatch(*t, picked, std::move(batch));
-        lk.lock();
-        if (inFlight_ == 0)
-            cv_.notify_all(); // flush() waiters
     }
+}
+
+bool
+Server::serveNext(std::unique_lock<std::mutex> &lk)
+{
+    uint64_t now = clock_->nowNs();
+
+    int picked = -1;
+    if (cfg_.policy == SchedulingPolicy::EarliestDeadlineFirst) {
+        // Deadline scheduling: fill every tenant, then serve the
+        // closeable batch whose most urgent pending request has the
+        // earliest absolute deadline. No deadline sorts last
+        // (UINT64_MAX); ties break to the lowest tenant id, so the
+        // pick order is deterministic under a ManualClock.
+        uint64_t best = UINT64_MAX;
+        for (size_t id = 0; id < tenants_.size(); ++id) {
+            Tenant &t = *tenants_[id];
+            fillPending(t);
+            if (!closeable(t, now))
+                continue;
+            uint64_t key = earliestDeadlineNs(t);
+            if (picked < 0 || key < best) {
+                picked = static_cast<int>(id);
+                best = key;
+            }
+        }
+    } else {
+        // Fair scheduling: scan tenants round-robin from the cursor,
+        // serving at most one closed batch per turn so a backlogged
+        // tenant cannot starve the others.
+        for (size_t i = 0; i < tenants_.size(); ++i) {
+            size_t id = (cursor_ + i) % tenants_.size();
+            Tenant &t = *tenants_[id];
+            fillPending(t);
+            if (closeable(t, now)) {
+                picked = static_cast<int>(id);
+                break;
+            }
+        }
+    }
+    if (picked < 0)
+        return false;
+
+    Tenant *t = tenants_[static_cast<size_t>(picked)].get();
+    std::vector<AsyncRequest> batch = std::move(t->pending);
+    t->pending.clear();
+    t->pendingRows = 0;
+    cursor_ = (static_cast<size_t>(picked) + 1) % tenants_.size();
+
+    executing_ = true;
+    lk.unlock();
+    executeBatch(*t, picked, std::move(batch));
+    lk.lock();
+    executing_ = false;
+    return true;
 }
 
 void
@@ -424,12 +436,23 @@ void
 Server::flush()
 {
     std::unique_lock<std::mutex> lk(mu_);
-    if (stopped_)
-        return;
-    flushing_ = true;
-    cv_.notify_all();
-    cv_.wait(lk, [this] { return inFlight_ == 0 || stopped_; });
-    flushing_ = false;
+    // The dispatcher stands aside while flushing_ is set; once any
+    // batch already executing finishes, this thread picks and serves
+    // — so compute runs on the caller (a ThreadPool::ScopedSerial
+    // around flush() really serializes it).
+    ++flushing_;
+    while (inFlight_ > 0 && !stopped_) {
+        if (executing_ || stop_ || !serveNext(lk)) {
+            // Another thread's batch is running, a request is counted
+            // but not yet queued, or stop() is shedding: wait (the
+            // dispatcher's batch end notifies; the poll covers the
+            // rest).
+            cv_.wait_for(lk,
+                         std::chrono::microseconds(cfg_.idlePollUs));
+        }
+    }
+    if (--flushing_ == 0)
+        cv_.notify_all(); // the dispatcher may resume
 }
 
 void

@@ -1,16 +1,16 @@
 /**
  * @file
- * serve::Server — the asynchronous, deadline-aware, multi-tenant
- * serving front-end.
+ * serve::Server — the one serving front door: asynchronous,
+ * deadline-aware, multi-tenant.
  *
- * Where ServingRuntime drains synchronously on the caller thread, the
- * Server runs a real event loop: producers submit from any thread
- * into a finely sharded MPMC RequestQueue per tenant (admission
- * control: a full queue sheds at submit with ServeError), and one
- * dispatcher thread forms serving batches with arrival-time adaptive
- * micro-batching — a batch closes when the next whole request would
- * overflow maxBatch (*size*) or when its oldest request has waited
- * maxBatchDelayUs (*age*), whichever comes first. Before a batch
+ * Producers submit from any thread into a finely sharded MPMC
+ * RequestQueue per tenant (admission control: a full queue sheds at
+ * submit with ServeError), and one dispatcher thread forms serving
+ * batches with arrival-time adaptive micro-batching — a batch closes
+ * when the next whole request would overflow maxBatch (*size*) or
+ * when its oldest request has waited maxBatchDelayUs (*age*),
+ * whichever comes first. flush() serves the backlog on the calling
+ * thread instead, while the dispatcher stands aside. Before a batch
  * computes, requests whose deadline already expired are shed (their
  * futures deliver ServeError; compute is never wasted on them). Each
  * closed batch draws one random precision from the tenant's seeded
@@ -20,20 +20,20 @@
  *
  * Multi-tenancy: many twoinone::Sessions register as tenants. Tenants
  * of the same model share one BatchExecutor and one RpsEngine (plan
- * replicas and weight-code caches are per model, not per tenant —
- * closing the PR 5 Session::attach fresh-engine follow-up), while
- * keeping their own queues, precision streams, traces, and stats.
- * The dispatcher schedules fairly: one closed batch per tenant turn,
- * round-robin over tenants with runnable work, so a backlogged tenant
- * cannot starve the others.
+ * replicas and weight-code caches are per model, not per tenant),
+ * while keeping their own queues, precision streams, traces, and
+ * stats. The dispatcher schedules fairly: one closed batch per tenant
+ * turn, round-robin over tenants with runnable work, so a backlogged
+ * tenant cannot starve the others.
  *
  * Determinism: all timing decisions (age close, deadlines, latency
  * stamps) read the injected common/clock.hh Clock. Under a frozen
  * ManualClock batches close only on size or flush(), which makes
  * batch composition — and therefore precision traces and served
- * logits — a pure function of the submission order: a single-tenant
- * Server reproduces the synchronous drain bit for bit at every
- * candidate precision (pinned in tests/test_server.cc).
+ * logits — a pure function of the submission order. A paused
+ * single-tenant Server with age closing off is exactly what
+ * Session::submit/drain runs on: batches form only in flush(), in
+ * submission order (pinned in tests/test_server.cc).
  */
 
 #ifndef TWOINONE_SERVE_SERVER_HH
@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -94,8 +95,8 @@ struct ServerConfig
     /** Deadline applied to requests submitted without an explicit
      * one; 0 = no deadline. */
     uint64_t defaultDeadlineUs = 0;
-    /** Start with the dispatcher paused (tests build backlog first,
-     * then resume()). */
+    /** Start with the dispatcher paused: batches form only in flush()
+     * (or after resume()). Session's own server runs this way. */
     bool startPaused = false;
     /** Time source for age/deadline/latency decisions; null = the
      * process SteadyClock. A ManualClock makes every batching and
@@ -156,10 +157,14 @@ class Server
                               uint64_t deadline_us = 0);
 
     /**
-     * Serve everything admitted so far and block until every
-     * in-flight request has completed or been shed. Partial batches
-     * are closed once their queue is empty (overrides the age timer
-     * and a paused dispatcher).
+     * Serve everything admitted so far *on the calling thread* and
+     * return once every in-flight request has completed or been shed.
+     * The dispatcher stands aside for the duration: it finishes any
+     * batch already executing, then picks nothing until the flush
+     * ends. Partial batches are closed once their queue is empty
+     * (overrides the age timer and a paused dispatcher). Because the
+     * compute runs on the caller, a ThreadPool::ScopedSerial around
+     * flush() serializes it.
      */
     void flush();
 
@@ -213,7 +218,6 @@ class Server
 
     struct Tenant
     {
-        Session *session = nullptr;
         ModelGroup *group = nullptr;
         std::unique_ptr<RequestQueue> queue;
         /** Head request that did not fit the forming batch. */
@@ -231,8 +235,15 @@ class Server
     };
 
     void dispatchLoop();
+    /**
+     * Pick the next closed batch (policy order) and serve it with mu_
+     * released; returns false when nothing is closeable. The one step
+     * the dispatcher and a flushing caller share. @p lk holds mu_ on
+     * entry and on return.
+     */
+    bool serveNext(std::unique_lock<std::mutex> &lk);
     /** Move queued requests into @p t's forming batch (whole-request
-     * packing, same rule as the synchronous drain). */
+     * packing: a request never splits across batches). */
     void fillPending(Tenant &t);
     /** Whether @p t's forming batch must be served now. */
     bool closeable(const Tenant &t, uint64_t now_ns) const;
@@ -256,7 +267,11 @@ class Server
     size_t cursor_ = 0; ///< fair-scheduling round-robin position
     uint64_t inFlight_ = 0; ///< admitted, not yet completed/shed
     bool paused_ = false;
-    bool flushing_ = false;
+    /** flush() calls in progress; the dispatcher picks nothing while
+     * any runs. */
+    int flushing_ = 0;
+    /** A batch is executing (on the dispatcher or a flusher). */
+    bool executing_ = false;
     bool stop_ = false;
     bool stopped_ = false;
     std::thread dispatcher_;

@@ -150,7 +150,7 @@ Session::fromCheckpoint(const std::string &path, SessionConfig cfg)
     // A tuning section carries the serving autotuner's winner: copy
     // it out before the checkpoint's cells move into the engine, and
     // (by default) apply its session-scoped knobs to the serving
-    // config before the runtime ever builds.
+    // config before serving ever starts.
     std::unique_ptr<tune::TuningArtifact> tuning;
     if (ckpt.tuning() != nullptr) {
         tuning = std::make_unique<tune::TuningArtifact>(*ckpt.tuning());
@@ -265,59 +265,80 @@ Session::predictQuantized(const Tensor &x)
     return ops::argmaxRows(plan(serve::PlanMode::Quantized, x).run(x));
 }
 
-serve::ServingRuntime &
-Session::runtime(const Tensor *first)
+serve::Server &
+Session::server(const Tensor &first)
 {
-    if (!runtime_) {
+    if (!server_) {
         std::vector<int> shape = cfg_.inputShape;
         if (shape.empty()) {
-            TWOINONE_ASSERT(first != nullptr && first->ndim() > 1,
+            TWOINONE_ASSERT(first.ndim() > 1,
                             "session needs a request image shape "
                             "(SessionConfig::inputShape or a first "
                             "submitted batch)");
-            for (int i = 1; i < first->ndim(); ++i)
-                shape.push_back(first->dim(i));
+            for (int i = 1; i < first.ndim(); ++i)
+                shape.push_back(first.dim(i));
         }
-        runtime_ = std::make_unique<serve::ServingRuntime>(
-            *net_, eng(), shape, cfg_.serving);
+        // Batches form only in drain()'s flush, on the draining
+        // thread, packed in submission order: paused dispatcher, no
+        // age close, no deadline. The session-scoped tuning knobs are
+        // already in cfg_.serving; the real clock keeps latency
+        // stats honest.
+        serve::ServerConfig sc;
+        sc.startPaused = true;
+        sc.maxBatchDelayUs = 0.0;
+        sc.defaultDeadlineUs = 0;
+        sc.adoptTuning = false;
+        server_ = std::make_unique<serve::Server>(sc);
+        server_->addTenant(*this, shape);
     }
-    return *runtime_;
+    return *server_;
 }
 
 size_t
 Session::submit(Tensor x)
 {
-    return runtime(&x).submit(std::move(x));
+    serve::Server &srv = server(x);
+    pending_.push_back(srv.submit(0, std::move(x)));
+    return firstResult_ + results_.size() + pending_.size() - 1;
 }
 
 void
 Session::drain()
 {
-    TWOINONE_ASSERT(runtime_ != nullptr,
+    TWOINONE_ASSERT(server_ != nullptr,
                     "drain() before any submit()");
-    runtime_->drain();
+    server_->flush();
+    while (!pending_.empty()) {
+        results_.push_back(std::move(pending_.front().get().y));
+        pending_.pop_front();
+    }
 }
 
 const Tensor &
 Session::result(size_t id) const
 {
-    TWOINONE_ASSERT(runtime_ != nullptr,
-                    "result() before any submit()");
-    return runtime_->result(id);
+    TWOINONE_ASSERT(id >= firstResult_, "request ", id,
+                    " was released by clearServed()");
+    size_t i = id - firstResult_;
+    TWOINONE_ASSERT(i < results_.size() + pending_.size(),
+                    "unknown request id");
+    TWOINONE_ASSERT(i < results_.size(), "request ", id,
+                    " not served yet — call drain()");
+    return results_[i];
 }
 
 void
 Session::clearServed()
 {
-    if (runtime_)
-        runtime_->clearServed();
+    firstResult_ += results_.size();
+    results_.clear();
 }
 
 std::vector<Tensor>
 Session::serve(const std::vector<Tensor> &requests)
 {
     if (requests.empty())
-        return {}; // nothing submitted — there may be no runtime yet
+        return {}; // nothing submitted — there may be no server yet
     std::vector<size_t> ids;
     ids.reserve(requests.size());
     for (const Tensor &x : requests)
@@ -326,8 +347,8 @@ Session::serve(const std::vector<Tensor> &requests)
     std::vector<Tensor> out;
     out.reserve(ids.size());
     for (size_t id : ids)
-        out.push_back(runtime_->result(id));
-    runtime_->clearServed();
+        out.push_back(std::move(results_[id - firstResult_]));
+    clearServed();
     return out;
 }
 
@@ -335,13 +356,13 @@ const std::vector<int> &
 Session::precisionTrace() const
 {
     static const std::vector<int> empty;
-    return runtime_ ? runtime_->precisionTrace() : empty;
+    return server_ ? server_->precisionTrace(0) : empty;
 }
 
 serve::ServeStats
 Session::stats() const
 {
-    return runtime_ ? runtime_->stats() : serve::ServeStats();
+    return server_ ? server_->stats() : serve::ServeStats();
 }
 
 void

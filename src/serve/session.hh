@@ -4,8 +4,8 @@
  *
  * Before sessions, standing a trained RPS model up for serving took a
  * five-step caller ritual: construct the model, attach an RpsEngine,
- * run the Calibrator, compile plans, wrap the lot in a
- * ServingRuntime. A Session is that wiring behind one object:
+ * run the Calibrator, compile plans, wrap the lot in a serving
+ * front-end. A Session is that wiring behind one object:
  *
  *   auto s = Session::fromCheckpoint("model.ckpt");
  *   s.serve(requests);            // batched RPS serving
@@ -25,6 +25,12 @@
  *    plans are its own: the network's own entry points keep running
  *    the per-layer reference loops, during and after the session.
  *
+ * Batched serving (submit/drain/serve) runs on a session-owned,
+ * single-tenant serve::Server built on first submit: paused, with
+ * age closing off, no deadline and the real SteadyClock. Batches
+ * therefore form only when drain() flushes, on the draining thread,
+ * and their composition depends only on submission order.
+ *
  * The underlying pieces stay reachable (network()/engine()) — the
  * facade narrows the default path, it does not wall off the internals.
  */
@@ -32,7 +38,9 @@
 #ifndef TWOINONE_SERVE_SESSION_HH
 #define TWOINONE_SERVE_SESSION_HH
 
+#include <deque>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +49,7 @@
 #include "nn/network.hh"
 #include "quant/rps_engine.hh"
 #include "serve/runtime.hh"
+#include "serve/server.hh"
 #include "tune/artifact.hh"
 
 namespace twoinone {
@@ -90,8 +99,9 @@ struct SessionConfig
     /** Auto-apply a checkpoint's tuning section (serving autotuner
      * winner) to the serving config: batch geometry, replicas,
      * precision draw distribution. The artifact stays readable via
-     * tuningArtifact() either way (the async Server adopts the
-     * server-scoped knobs — max delay, scheduling policy — from it). */
+     * tuningArtifact() either way (an external serve::Server adopts
+     * the server-scoped knobs — max delay, scheduling policy — from
+     * it). */
     bool applyTuning = true;
 
     /** @name Artifact-load resilience
@@ -122,7 +132,7 @@ struct SessionConfig
 
 /**
  * A deployed RPS model: network + precision-switch engine + batched
- * serving runtime behind one facade. Movable, non-copyable.
+ * serving front door behind one facade. Movable, non-copyable.
  */
 class Session
 {
@@ -195,14 +205,33 @@ class Session
      * request's logits in order. One random precision per serving
      * batch, drawn from the engine's candidate set. */
     std::vector<Tensor> serve(const std::vector<Tensor> &requests);
-    /** Streaming variants (see serve::ServingRuntime). */
+    /**
+     * Queue a request of x.dim(0) images; returns its id. A malformed
+     * request — wrong rank, wrong image shape, empty, or more rows
+     * than the serving-batch capacity — throws serve::ServeError,
+     * counted in ServeStats::rejected. More than
+     * serve::ServerConfig::queueCapacity (1024) requests queued
+     * before a drain sheds the excess with serve::ServeError, counted
+     * in ServeStats::shed. Either way nothing is queued and the
+     * session keeps serving.
+     */
     size_t submit(Tensor x);
+    /** Serve everything queued, on the calling thread, packing whole
+     * requests into serving batches; returns when all results are
+     * ready. */
     void drain();
+    /** Logits of request @p id (valid after drain(), until
+     * clearServed()). */
     const Tensor &result(size_t id) const;
+    /** Release the results of every drained request (ids stay
+     * allocated; result() on a released id panics). Long-lived
+     * submit/drain loops call this after consuming results. */
     void clearServed();
     /** Precisions sampled so far, one per served batch (empty before
      * the first drain). */
     const std::vector<int> &precisionTrace() const;
+    /** Serving stats; wallSeconds (and so qps) sums batch execution
+     * time, not drain wall time. */
     serve::ServeStats stats() const;
     /** @} */
 
@@ -227,12 +256,9 @@ class Session
     /** @{ */
     Network &network() { return *net_; }
     RpsEngine &engine() { return eng(); }
-    /** The construction-time configuration (the async Server reads
+    /** The construction-time configuration (a serve::Server reads
      * the serving geometry and input shape of its tenants). */
     const SessionConfig &config() const { return cfg_; }
-    /** Whether the serving runtime has been instantiated (it builds
-     * lazily on first serve). */
-    bool servingStarted() const { return runtime_ != nullptr; }
     /** The tuning artifact this session loaded from its checkpoint
      * (null when the artifact had no tuning section or the session
      * was not checkpoint-built). */
@@ -242,7 +268,7 @@ class Session
     }
     /** Attach @p artifact to the session (persisted by save(); the
      * serving config is NOT re-derived — call tune::applyGenome
-     * before the runtime builds to change live behavior). */
+     * before the first submit to change live behavior). */
     void setTuningArtifact(const tune::TuningArtifact &artifact);
     /** @} */
 
@@ -258,9 +284,10 @@ class Session
         return extEngine_ != nullptr ? *extEngine_ : *engine_;
     }
 
-    /** The serving runtime, built on first use (derives the request
-     * shape from @p first when the config left it empty). */
-    serve::ServingRuntime &runtime(const Tensor *first);
+    /** The session's single-tenant server, built on first use
+     * (derives the request shape from @p first when the config left
+     * it empty). */
+    serve::Server &server(const Tensor &first);
 
     /** The session's @p mode plan, (re)compiled for @p x's shape
      * when none exists yet or @p x does not fit the current one. */
@@ -273,7 +300,15 @@ class Session
     /** Non-owning shared engine (attach(net, engine)); when set,
      * engine_ stays null. */
     RpsEngine *extEngine_ = nullptr;
-    std::unique_ptr<serve::ServingRuntime> runtime_;
+    /** Declared after the engine and the owned network, so it stops
+     * (and its executor releases its plans) before they die. */
+    std::unique_ptr<serve::Server> server_;
+    /** Logits of drained requests not yet released: request id
+     * firstResult_ + i lives in results_[i]; the ids after them await
+     * the next drain in pending_. */
+    std::deque<Tensor> results_;
+    std::deque<std::future<serve::Reply>> pending_;
+    size_t firstResult_ = 0;
     /** Tuning artifact carried by the loaded checkpoint (if any). */
     std::unique_ptr<tune::TuningArtifact> tuning_;
     std::unique_ptr<serve::ExecutionPlan> floatPlan_;

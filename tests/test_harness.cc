@@ -88,7 +88,7 @@ TEST(HarnessJson, ParseErrorsCarryLineAndColumn)
 }
 
 // ---------------------------------------------------------------------------
-// Bounded quantile sketch (ServingRuntime latency stats)
+// Bounded quantile sketch (serving latency stats)
 // ---------------------------------------------------------------------------
 
 TEST(QuantileSketch, QuantilesWithinRelativeErrorAtFixedMemory)
@@ -393,6 +393,40 @@ TEST(ScenarioRunner, HeadlineFaultsRecoverAndRerunsAreByteIdentical)
     EXPECT_FALSE(readAll(out1 + "/e2e/run.json").empty());
     EXPECT_FALSE(readAll(out1 + "/e2e/metrics.json").empty());
     EXPECT_FALSE(readAll(out1 + "/e2e/model.ckpt").empty());
+}
+
+/** starve_pool reaches multi-session serving: the runner flushes its
+ * Server on its own thread, so the fault's ScopedSerial covers every
+ * tenant's batches. A sessions > 1 spec with the fault validates and
+ * the fault is recovered. */
+TEST(ScenarioRunner, StarvePoolRecoversWithThreeSessions)
+{
+    ScenarioSpec spec = parseScenario(Json::parse(R"({
+      "name": "starved_tenants",
+      "seed": 41,
+      "model": {"arch": "convnet_tiny", "base_width": 4,
+                "calibrate_batches": 1},
+      "data": {"classes": 3, "size": 8, "train": 32, "test": 32},
+      "serving": {"max_batch": 8, "micro_batch": 4, "sessions": 3},
+      "phases": [
+        {"type": "steady", "batches": 2, "requests_per_batch": 6,
+         "rows_per_request": 2}
+      ],
+      "faults": [
+        {"type": "starve_pool", "phase": 0, "at": 1}
+      ]
+    })"));
+    EXPECT_EQ(spec.serving.sessions, 3);
+
+    RunResult r = ScenarioRunner(spec, tmpDir("starved_tenants")).run();
+    EXPECT_TRUE(r.faultsRecovered);
+    EXPECT_EQ(countMetric(r.metrics, "faults_injected"), 1u);
+    EXPECT_EQ(countMetric(r.metrics, "faults_recovered"), 1u);
+    EXPECT_EQ(countMetric(r.metrics, "requests"), 12u);
+    EXPECT_EQ(countMetric(r.metrics, "shed_requests"), 0u);
+    // Each point spreads 6 requests over 3 tenants: 2 requests of 2
+    // rows per tenant pack into one batch each.
+    EXPECT_EQ(countMetric(r.metrics, "batches"), 6u);
 }
 
 TEST(ScenarioRunner, BaselineCompareCatchesCountDrift)

@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the compiled execution plans and the batched RPS serving
- * runtime (ISSUE 4): plan forwards must be bit-identical to the
+ * Tests for the compiled execution plans and batched RPS serving
+ * through Session: plan forwards must be bit-identical to the
  * legacy per-layer loops at every candidate precision (cached,
  * uncached, calibrated, full precision), allocate zero tensors after
- * compile, reuse the arena safely across batch sizes, and the
- * serving runtime must sample precisions deterministically from its
+ * compile, reuse the arena safely across batch sizes, and Session
+ * serving must sample precisions deterministically from its
  * seed with outputs independent of the thread count (CMake re-runs
  * this binary under TWOINONE_THREADS=1/4 and TWOINONE_BACKEND=naive).
  */
@@ -281,9 +281,23 @@ TEST(ExecutionPlan, GatherTablesSharedAcrossReplicas)
     EXPECT_EQ(ta, tb);
 }
 
-/** Precision sampling in the serving runtime is a pure function of
- * the seed, and the served logits are bit-identical run to run. */
-TEST(ServingRuntime, DeterministicPrecisionSampling)
+/** A session over a caller-owned net and shared engine, serving
+ * [N, 3, 8, 8] requests under @p serving. */
+Session
+servingSession(Network &net, RpsEngine &engine,
+               const serve::ServeConfig &serving)
+{
+    SessionConfig sc;
+    sc.serving = serving;
+    sc.inputShape = {3, 8, 8};
+    return Session::attach(net, engine, sc);
+}
+
+/** Precision sampling in Session serving is a pure function of the
+ * seed, and the served logits are bit-identical run to run — also
+ * when the drain runs serially (drain() computes on the calling
+ * thread, so ScopedSerial reaches it). */
+TEST(SessionServing, DeterministicPrecisionSampling)
 {
     Network net = makeTinyNet(49);
     RpsEngine engine(net);
@@ -293,7 +307,7 @@ TEST(ServingRuntime, DeterministicPrecisionSampling)
     cfg.seed = 1234;
 
     auto run_once = [&](bool serial) {
-        serve::ServingRuntime srv(net, engine, {3, 8, 8}, cfg);
+        Session srv = servingSession(net, engine, cfg);
         Rng req_rng(5);
         for (int i = 0; i < 6; ++i)
             srv.submit(Tensor::uniform({4, 3, 8, 8}, req_rng, 0.0f,
@@ -327,10 +341,10 @@ TEST(ServingRuntime, DeterministicPrecisionSampling)
 }
 
 /** Served logits equal a direct engine forward at the precision the
- * runtime sampled for that batch. Calibrated static scales make the
+ * session sampled for that batch. Calibrated static scales make the
  * result independent of the micro-batch sharding (dynamic ranges are
  * per-shard by construction — see serve/runtime.hh). */
-TEST(ServingRuntime, ResultsMatchEngineForward)
+TEST(SessionServing, ResultsMatchEngineForward)
 {
     Network net = makeTinyNet(50);
     {
@@ -344,7 +358,7 @@ TEST(ServingRuntime, ResultsMatchEngineForward)
     cfg.maxBatch = 4; // one request per serving batch
     cfg.microBatch = 2;
     cfg.seed = 99;
-    serve::ServingRuntime srv(net, engine, {3, 8, 8}, cfg);
+    Session srv = servingSession(net, engine, cfg);
 
     Rng req_rng(6);
     std::vector<Tensor> xs;
@@ -382,9 +396,9 @@ TEST(ServingRuntime, ResultsMatchEngineForward)
 
 /** Malformed submissions — wrong rank, wrong image shape, empty,
  * oversized — are rejected with ServeError, counted in
- * ServeStats::rejected, and leave the runtime serving healthy
+ * ServeStats::rejected, and leave the session serving healthy
  * traffic bit-identically to an undisturbed run. */
-TEST(ServingRuntime, MalformedSubmissionsRejectedWithoutDisruption)
+TEST(SessionServing, MalformedSubmissionsRejectedWithoutDisruption)
 {
     Network net = makeTinyNet(51);
     RpsEngine engine(net);
@@ -400,12 +414,12 @@ TEST(ServingRuntime, MalformedSubmissionsRejectedWithoutDisruption)
                                        1.0f));
 
     // Reference: the same healthy traffic with no garbage mixed in.
-    serve::ServingRuntime ref(net, engine, {3, 8, 8}, cfg);
+    Session ref = servingSession(net, engine, cfg);
     for (const Tensor &x : good)
         ref.submit(x);
     ref.drain();
 
-    serve::ServingRuntime srv(net, engine, {3, 8, 8}, cfg);
+    Session srv = servingSession(net, engine, cfg);
     Rng junk_rng(8);
     std::vector<size_t> ids;
     ids.push_back(srv.submit(good[0]));
@@ -414,7 +428,7 @@ TEST(ServingRuntime, MalformedSubmissionsRejectedWithoutDisruption)
                                             1.0f)),
                  serve::ServeError);
     ids.push_back(srv.submit(good[1]));
-    // Wrong image shape: trailing dims disagree with the runtime's.
+    // Wrong image shape: trailing dims disagree with the session's.
     EXPECT_THROW(srv.submit(Tensor::uniform({4, 3, 8, 9}, junk_rng,
                                             0.0f, 1.0f)),
                  serve::ServeError);
@@ -451,9 +465,9 @@ TEST(ServingRuntime, MalformedSubmissionsRejectedWithoutDisruption)
 }
 
 /** Reading a result slot after clearServed() released it is a
- * use-after-free in waiting: the runtime panics (TWOINONE_ASSERT →
+ * use-after-free in waiting: the session panics (TWOINONE_ASSERT →
  * abort) instead of returning a dangling reference. */
-TEST(ServingRuntimeDeathTest, ResultAfterClearServedPanics)
+TEST(SessionServingDeathTest, ResultAfterClearServedPanics)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     Network net = makeTinyNet(52);
@@ -462,7 +476,7 @@ TEST(ServingRuntimeDeathTest, ResultAfterClearServedPanics)
     cfg.maxBatch = 8;
     cfg.microBatch = 4;
     cfg.seed = 77;
-    serve::ServingRuntime srv(net, engine, {3, 8, 8}, cfg);
+    Session srv = servingSession(net, engine, cfg);
 
     Rng req_rng(9);
     size_t id =

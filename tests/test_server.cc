@@ -4,8 +4,10 @@
  * (serve/server.hh): adaptive micro-batch closing (size vs age vs
  * flush), deadline load shedding before compute, admission control,
  * fair round-robin scheduling across tenants, bit-identity with the
- * synchronous drain at every candidate precision, clean shutdown with
- * in-flight requests, and a multi-producer submit hammer. Every
+ * engine forward and Session's drain at every candidate precision,
+ * flush() computing on its caller (also while racing the dispatcher
+ * and producers), clean shutdown with in-flight requests, and a
+ * multi-producer submit hammer. Every
  * batching decision runs against an injected ManualClock, so the
  * asserted quantities are deterministic — including under the
  * TWOINONE_THREADS=1/4 and TWOINONE_BACKEND=naive ctest matrix and
@@ -14,7 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -68,7 +73,7 @@ tenantConfig(uint64_t seed, int max_batch = 8, int micro_batch = 4)
 /** A frozen clock + paused start make batch composition a pure
  * function of the submission order. */
 serve::ServerConfig
-frozenConfig(const ManualClock &clock, double delay_us = 0.0)
+frozenConfig(const Clock &clock, double delay_us = 0.0)
 {
     serve::ServerConfig sc;
     sc.clock = &clock;
@@ -258,81 +263,301 @@ TEST(Server, FairSchedulingAcrossTwoTenants)
     server.stop();
 }
 
-/** The async server reproduces the synchronous drain bit for bit:
- * same requests, same packing, same precision draws, same logits —
- * pinned per candidate by serving through single-candidate engines,
- * and across the full rps4to16 set via the seeded sampler. */
+/** A paused single-tenant Server on a frozen clock packs whole
+ * requests in submission order and serves each batch at its drawn
+ * precision. On a calibrated net (static scales make a row's logits
+ * independent of its batch peers) every reply equals a direct engine
+ * forward at the reply's precision — pinned per candidate through
+ * single-candidate engines — and the mixed request sizes pack into
+ * exactly the batches the whole-request rule allows. Across the full
+ * rps4to16 set, Session::serve — the synchronous drain, itself a
+ * single-tenant Server — replays an external server's trace and
+ * logits at the same seed. */
 TEST(Server, BitIdenticalToSynchronousDrainAtEveryCandidate)
 {
-    // Mixed request sizes exercise the whole-request packing rule.
+    // Mixed request sizes exercise the whole-request packing rule:
+    // {4,3} {8} {2,5,1} {6} {7} at maxBatch 8.
     const std::vector<int> rows = {4, 3, 8, 2, 5, 1, 6, 7};
+    const size_t kBatches = 5;
 
     Network net = makeTinyNet(17);
+    {
+        Rng cal_rng(61);
+        Calibrator cal(net);
+        cal.calibrate(
+            {Tensor::uniform({8, 3, 8, 8}, cal_rng, 0.0f, 1.0f)});
+    }
     for (int bits : net.precisionSet().bits()) {
         // A single-candidate engine pins every draw to `bits`.
         RpsEngine engine(net, PrecisionSet({bits}));
-        serve::ServeConfig scfg;
-        scfg.maxBatch = 8;
-        scfg.microBatch = 4;
-        scfg.seed = 99;
-        serve::ServingRuntime sync(net, engine, {3, 8, 8}, scfg);
-        std::vector<size_t> ids;
-        for (size_t i = 0; i < rows.size(); ++i)
-            ids.push_back(sync.submit(
-                makeInput(500 + i, rows[i])));
-        sync.drain();
-
         ManualClock clock;
         serve::Server server(frozenConfig(clock));
-        SessionConfig tcfg = tenantConfig(99);
-        Session session = Session::attach(net, engine, tcfg);
+        Session session = Session::attach(net, engine, tenantConfig(99));
         int tenant = server.addTenant(session);
         std::vector<std::future<serve::Reply>> futs;
         for (size_t i = 0; i < rows.size(); ++i)
             futs.push_back(server.submit(
                 tenant, makeInput(500 + i, rows[i])));
-        server.resume();
         server.flush();
 
         for (size_t i = 0; i < rows.size(); ++i) {
             serve::Reply r = futs[i].get();
             EXPECT_EQ(r.precision, bits);
-            expectBitIdentical(sync.result(ids[i]), r.y,
-                               "bits=" + std::to_string(bits) +
-                                   " req=" + std::to_string(i));
+            expectBitIdentical(
+                engine.forwardQuantizedAt(bits,
+                                          makeInput(500 + i, rows[i])),
+                r.y,
+                "bits=" + std::to_string(bits) +
+                    " req=" + std::to_string(i));
         }
+        EXPECT_EQ(server.tenantStats(tenant).batches, kBatches);
         EXPECT_EQ(server.precisionTrace(tenant),
-                  sync.precisionTrace());
+                  std::vector<int>(kBatches, bits));
         server.stop();
     }
 
-    // Full candidate set: the async tenant's seeded sampler replays
-    // the sync runtime's draws, so packing AND precisions agree.
+    // Full candidate set: the external tenant's seeded sampler replays
+    // the session drain's draws, so packing AND precisions agree.
     RpsEngine engine(net);
-    serve::ServeConfig scfg;
-    scfg.maxBatch = 8;
-    scfg.microBatch = 4;
-    scfg.seed = 4242;
-    serve::ServingRuntime sync(net, engine, {3, 8, 8}, scfg);
-    std::vector<size_t> ids;
+    std::vector<Tensor> xs;
     for (size_t i = 0; i < rows.size(); ++i)
-        ids.push_back(sync.submit(makeInput(600 + i, rows[i])));
-    sync.drain();
+        xs.push_back(makeInput(600 + i, rows[i]));
+    Session drained = Session::attach(net, engine, tenantConfig(4242));
+    std::vector<Tensor> ys = drained.serve(xs);
+    ASSERT_EQ(drained.precisionTrace().size(), kBatches);
 
     ManualClock clock;
     serve::Server server(frozenConfig(clock));
     Session session = Session::attach(net, engine, tenantConfig(4242));
     int tenant = server.addTenant(session);
     std::vector<std::future<serve::Reply>> futs;
-    for (size_t i = 0; i < rows.size(); ++i)
-        futs.push_back(
-            server.submit(tenant, makeInput(600 + i, rows[i])));
-    server.resume();
+    for (const Tensor &x : xs)
+        futs.push_back(server.submit(tenant, x));
     server.flush();
-    for (size_t i = 0; i < rows.size(); ++i)
-        expectBitIdentical(sync.result(ids[i]), futs[i].get().y,
-                           "rps req=" + std::to_string(i));
-    EXPECT_EQ(server.precisionTrace(tenant), sync.precisionTrace());
+    for (size_t i = 0; i < rows.size(); ++i) {
+        serve::Reply r = futs[i].get();
+        std::string what = "rps req=" + std::to_string(i);
+        expectBitIdentical(ys[i], r.y, what);
+        expectBitIdentical(engine.forwardQuantizedAt(r.precision, xs[i]),
+                           r.y, what);
+    }
+    EXPECT_EQ(server.precisionTrace(tenant), drained.precisionTrace());
+    server.stop();
+}
+
+/**
+ * A frozen clock that records which thread made every nowNs() call
+ * and can hold the dispatcher mid-batch: calls from the constructing
+ * thread pass; of the others, the @p hold_at-th (0 = none) blocks
+ * until release().
+ */
+class RecordingClock : public Clock
+{
+  public:
+    explicit RecordingClock(int hold_at = 0)
+        : main_(std::this_thread::get_id()), holdAt_(hold_at)
+    {
+    }
+
+    uint64_t nowNs() const override
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        std::thread::id self = std::this_thread::get_id();
+        calls_.push_back(self);
+        if (self != main_ && ++others_ == holdAt_) {
+            held_ = true;
+            cv_.notify_all();
+            cv_.wait(lk, [this] { return released_; });
+        }
+        return 0;
+    }
+
+    /** Block until a call is being held; returns the calls so far. */
+    size_t waitHeld() const
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_.wait(lk, [this] { return held_; });
+        return calls_.size();
+    }
+
+    void release()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        released_ = true;
+        cv_.notify_all();
+    }
+
+    /** The calling thread of every call so far, in call order. */
+    std::vector<std::thread::id> calls() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return calls_;
+    }
+
+  private:
+    const std::thread::id main_;
+    const int holdAt_;
+    mutable std::mutex mu_;
+    mutable std::condition_variable cv_;
+    mutable std::vector<std::thread::id> calls_;
+    mutable int others_ = 0;
+    mutable bool held_ = false;
+    bool released_ = false;
+};
+
+/** flush() picks and executes batches on the calling thread: on a
+ * paused server, every clock read after the submits (batch pick,
+ * deadline check, completion stamp) comes from the flushing thread,
+ * never the dispatcher — which is what lets a ScopedSerial around a
+ * drain reach the compute. */
+TEST(Server, FlushComputesOnTheCallingThread)
+{
+    Network net = makeTinyNet(28);
+    RpsEngine engine(net);
+    RecordingClock clock;
+    serve::Server server(frozenConfig(clock));
+    Session session = Session::attach(net, engine, tenantConfig(28));
+    int tenant = server.addTenant(session);
+
+    std::vector<std::future<serve::Reply>> futs;
+    for (int i = 0; i < 6; ++i)
+        futs.push_back(server.submit(tenant, makeInput(700 + i)));
+    size_t submitted = clock.calls().size();
+
+    std::thread::id flusher;
+    std::thread t([&] {
+        flusher = std::this_thread::get_id();
+        server.flush();
+    });
+    t.join();
+
+    std::vector<std::thread::id> calls = clock.calls();
+    ASSERT_GT(calls.size(), submitted) << "flush never read the clock";
+    for (size_t i = submitted; i < calls.size(); ++i)
+        EXPECT_EQ(calls[i], flusher) << "clock read " << i;
+    EXPECT_EQ(server.tenantStats(tenant).batches, 3u);
+    for (auto &f : futs)
+        EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+    server.stop();
+}
+
+/** A flush() that arrives while the dispatcher executes a batch waits
+ * that batch out before picking anything: with the dispatcher held
+ * inside its batch (its second clock read — the deadline check after
+ * the pick), the flushing thread reads no clock, i.e. picks and runs
+ * nothing, until the batch is released; then it serves the rest. */
+TEST(Server, FlushWaitsOutTheDispatchersBatch)
+{
+    Network net = makeTinyNet(30);
+    RpsEngine engine(net);
+    RecordingClock clock(/*hold_at=*/2);
+    serve::Server server(frozenConfig(clock));
+    Session session = Session::attach(net, engine, tenantConfig(30));
+    int tenant = server.addTenant(session);
+
+    // Two 4-row requests fill a batch; the third waits for the flush.
+    std::vector<std::future<serve::Reply>> futs;
+    for (int i = 0; i < 3; ++i)
+        futs.push_back(server.submit(tenant, makeInput(750 + i)));
+    server.resume();
+    size_t held_at = clock.waitHeld();
+
+    std::thread flusher([&] { server.flush(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(clock.calls().size(), held_at)
+        << "flush picked a batch while the dispatcher's was running";
+    clock.release();
+    flusher.join();
+
+    EXPECT_EQ(server.tenantStats(tenant).batches, 2u);
+    for (auto &f : futs)
+        EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+    server.stop();
+}
+
+/** flush() racing a running dispatcher and concurrent producers loses
+ * no request and never runs two batches at once: every reply equals a
+ * direct forward at the engine's single candidate (two batches on the
+ * shared plan replicas at once would overwrite each other's arenas —
+ * and the TSan job flags the race itself). */
+TEST(Server, FlushRacingDispatcherAndProducersLosesNothing)
+{
+    Network net = makeTinyNet(29);
+    {
+        Rng cal_rng(62);
+        Calibrator cal(net);
+        cal.calibrate(
+            {Tensor::uniform({8, 3, 8, 8}, cal_rng, 0.0f, 1.0f)});
+    }
+    RpsEngine engine(net, PrecisionSet({8}));
+
+    const int kProducers = 3;
+    const int kPerProducer = 48;
+    std::vector<std::vector<Tensor>> xs(kProducers);
+    std::vector<std::vector<Tensor>> refs(kProducers);
+    for (int p = 0; p < kProducers; ++p) {
+        for (int i = 0; i < kPerProducer; ++i) {
+            xs[p].push_back(makeInput(800 + 100 * p + i, 2 + i % 3));
+            refs[p].push_back(engine.forwardQuantizedAt(8, xs[p][i]));
+        }
+    }
+
+    // Running dispatcher on a frozen clock: it serves size-closed
+    // batches while producers submit; partial ones wait for a flush.
+    ManualClock clock;
+    serve::ServerConfig sc;
+    sc.clock = &clock;
+    sc.maxBatchDelayUs = 0.0;
+    serve::Server server(sc);
+    Session session = Session::attach(net, engine, tenantConfig(29));
+    int tenant = server.addTenant(session);
+
+    std::vector<std::vector<std::future<serve::Reply>>> futs(kProducers);
+    std::atomic<bool> producing{true};
+    std::thread flusher([&] {
+        // Pause between flushes so the dispatcher gets to start
+        // batches that a flush then has to wait out.
+        while (producing.load()) {
+            server.flush();
+            std::this_thread::sleep_for(std::chrono::microseconds(300));
+        }
+    });
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+            // Paced, so the dispatcher keeps closing batches on size
+            // throughout and flushes keep landing mid-batch.
+            for (int i = 0; i < kPerProducer; ++i) {
+                futs[p].push_back(server.submit(tenant, xs[p][i]));
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(100));
+            }
+        });
+    }
+    for (auto &t : producers)
+        t.join();
+    producing.store(false);
+    flusher.join();
+    server.flush();
+
+    for (int p = 0; p < kProducers; ++p) {
+        for (int i = 0; i < kPerProducer; ++i) {
+            std::future<serve::Reply> &f = futs[p][i];
+            ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                      std::future_status::ready);
+            serve::Reply r = f.get();
+            EXPECT_EQ(r.precision, 8);
+            expectBitIdentical(refs[p][i], r.y,
+                               "producer " + std::to_string(p) +
+                                   " req " + std::to_string(i));
+        }
+    }
+    serve::ServeStats st = server.stats();
+    EXPECT_EQ(st.requests,
+              static_cast<uint64_t>(kProducers * kPerProducer));
+    EXPECT_EQ(st.shed, 0u);
     server.stop();
 }
 
