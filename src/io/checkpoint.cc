@@ -99,6 +99,7 @@ writePack(io::Writer &w, const gemm::PackedIntWeights &p)
             p.p8.size());
     w.i16Vec(p.p16.data(), p.p16.size());
     w.i64Vec(p.rowSum.data(), p.rowSum.size());
+    w.i32(p.taps);
 }
 
 gemm::PackedIntWeights
@@ -117,9 +118,13 @@ readPack(io::Reader &r)
         std::memcpy(p.p8.data(), p8.data(), p8.size());
     p.p16 = r.i16Vec();
     p.rowSum = r.i64Vec();
+    // The layout tag trails the payload; sections written before it
+    // existed end here and hold source-order packs (taps 1).
+    p.taps = r.atEnd() ? 1 : r.i32();
     // rowSum is tile-padded: one slot per packed row, not per real
     // output channel.
     if (p.m < 0 || p.k < 0 || p.bits < 1 || p.bits > 16 ||
+        p.taps < 1 || p.k % p.taps != 0 ||
         p.tiles < 0 || p.groups8 < 0 || p.groups16 < 0 ||
         p.tiles < (p.m + gemm::kPackTileM - 1) / gemm::kPackTileM ||
         p.rowSum.size() !=

@@ -48,7 +48,11 @@
  *          codes i32Vec), STE mask bit-packed u8Vec
  *   PACK   (flags bit 2; a = layer, b = bits; requires CBIT) the
  *          cell's tile-packed kernel weights: m/k/bits/tiles/groups8/
- *          groups16 i32 each, p8 u8Vec, p16 i16Vec, rowSum i64Vec
+ *          groups16 i32 each, p8 u8Vec, p16 i16Vec, rowSum i64Vec,
+ *          then the layout tag taps i32 (gemm::PackedIntWeights::taps;
+ *          absent in artifacts written before tap-major conv packs,
+ *          read as 1). A pack whose tag differs from its layer's
+ *          layout is never installed — the engine repacks the cell
  *   TUNE   (flags bit 1) one tune::TuningArtifact (version u32,
  *          seed u64, serving genome, predicted cost f32)
  *

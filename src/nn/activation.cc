@@ -162,6 +162,16 @@ ActQuant::inferQuantInto(const Tensor &x, QuantTensor &out_q)
 }
 
 void
+ActQuant::inferChannelLastInto(const Tensor &x, int pad,
+                               ChannelLastCodes &out)
+{
+    float static_max = staticMaxOrNegative();
+    float max_v = static_max >= 0.0f ? static_max : ops::maxVal(x);
+    out.quantize(x, quant_.actBits, max_v, pad,
+                 [](int) { return [](float v) { return v; }; });
+}
+
+void
 ActQuant::inferFloatInto(const Tensor &x, Tensor &out)
 {
     int bits = quant_.actBits;
@@ -218,6 +228,26 @@ ActQuant::emitPlanSteps(serve::PlanBuilder &b)
             vo.denseReady = true;
         });
     }
+    b.setTop(out);
+}
+
+void
+ActQuant::emitChannelLastPlanStep(serve::PlanBuilder &b, int pad)
+{
+    int in = b.top();
+    int out = b.newValue();
+    b.addStep("actquant[channel-last]",
+              [this, in, out, pad](serve::ExecutionPlan &p) {
+                  serve::Value &vi = p.value(in);
+                  serve::Value &vo = p.value(out);
+                  vo.reset();
+                  if (quant_.actBits <= 0) {
+                      vo.alias = &vi.denseView();
+                      return;
+                  }
+                  inferChannelLastInto(vi.denseView(), pad, vo.cl);
+                  vo.hasChannelLast = true;
+              });
     b.setTop(out);
 }
 

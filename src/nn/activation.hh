@@ -76,7 +76,17 @@ class ActQuant : public Layer
     /** @{ */
     void inferFloatInto(const Tensor &x, Tensor &out);
     void inferQuantInto(const Tensor &x, QuantTensor &out_q);
+    /** inferQuantInto's codes written channel-last with a @p pad
+     * border — the operand form of an integer conv consumer. */
+    void inferChannelLastInto(const Tensor &x, int pad,
+                              ChannelLastCodes &out);
     /** @} */
+
+    /** Emit this quantizer as a producer of channel-last codes (a
+     * @p pad border) for a quantized plan whose consumers of its
+     * output are all Conv2d — the network input quantizer feeding the
+     * stem conv. At full precision it passes its input through. */
+    void emitChannelLastPlanStep(serve::PlanBuilder &b, int pad);
 
     /** @name Calibration interface (driven by Calibrator) */
     /** @{ */
@@ -101,6 +111,10 @@ class ActQuant : public Layer
     /** Whether the bank for the active quant state holds a recorded
      * range. */
     bool bankCalibrated(int bank) const;
+    /** The static range for the active state, or a negative value
+     * when the dynamic path must run (the fused plan producers read
+     * it to quantize exactly as inferQuantInto does). */
+    float staticMaxOrNegative() const;
     /** @} */
 
   private:
@@ -111,10 +125,6 @@ class ActQuant : public Layer
     bool recording_ = false;
     bool staticScale_ = false;
     float fixedMax_ = -1.0f;
-
-    /** The static range for the active state, or a negative value
-     * when the dynamic path must run. */
-    float staticMaxOrNegative() const;
 };
 
 } // namespace twoinone

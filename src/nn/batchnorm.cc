@@ -8,7 +8,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "nn/activation.hh"
 #include "serve/execution_plan.hh"
+#include "tensor/ops.hh"
 
 namespace twoinone {
 
@@ -122,17 +124,23 @@ SwitchableBatchNorm2d::forwardQuantized(QuantAct &xa)
     return QuantAct(std::move(out));
 }
 
+const SwitchableBatchNorm2d::Bank &
+SwitchableBatchNorm2d::inferenceBank() const
+{
+    // Same bank-aliasing rule as the eval forward: untrained banks
+    // fall back to the full-precision statistics.
+    int requested = activeBankIndex();
+    int use = bankTrained_[static_cast<size_t>(requested)] ? requested : 0;
+    return banks_[static_cast<size_t>(use)];
+}
+
 void
 SwitchableBatchNorm2d::inferenceInto(const Tensor &x, Tensor &out,
                                      bool fuse_relu)
 {
     TWOINONE_ASSERT(x.ndim() == 4 && x.dim(1) == channels_,
                     "SBN input shape mismatch");
-    // Same bank-aliasing rule as the eval forward: untrained banks
-    // fall back to the full-precision statistics.
-    int requested = activeBankIndex();
-    int use = bankTrained_[static_cast<size_t>(requested)] ? requested : 0;
-    const Bank &bank = banks_[static_cast<size_t>(use)];
+    const Bank &bank = inferenceBank();
 
     int n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
     size_t plane = static_cast<size_t>(h) * w;
@@ -154,19 +162,33 @@ SwitchableBatchNorm2d::inferenceInto(const Tensor &x, Tensor &out,
                 in + (static_cast<size_t>(ni) * c + cs) * plane;
             float *dst = o + (static_cast<size_t>(ni) * c + cs) * plane;
             if (fuse_relu) {
-                for (size_t t = 0; t < plane; ++t) {
-                    float xhat = (src[t] - mean) * inv_std;
-                    float v = g * xhat + b;
-                    dst[t] = v > 0.0f ? v : 0.0f;
-                }
+                for (size_t t = 0; t < plane; ++t)
+                    dst[t] = relu(affine(src[t], mean, inv_std, g, b));
             } else {
-                for (size_t t = 0; t < plane; ++t) {
-                    float xhat = (src[t] - mean) * inv_std;
-                    dst[t] = g * xhat + b;
-                }
+                for (size_t t = 0; t < plane; ++t)
+                    dst[t] = affine(src[t], mean, inv_std, g, b);
             }
         }
     }
+}
+
+void
+SwitchableBatchNorm2d::quantizeChannelLastInto(const Tensor &x, int bits,
+                                               float max_v, int pad,
+                                               ChannelLastCodes &out) const
+{
+    TWOINONE_ASSERT(x.ndim() == 4 && x.dim(1) == channels_,
+                    "SBN input shape mismatch");
+    const Bank &bank = inferenceBank();
+    const float eps = eps_;
+    out.quantize(x, bits, max_v, pad, [&](int ci) {
+        size_t cs = static_cast<size_t>(ci);
+        float mean = bank.runningMean[cs];
+        float inv_std = 1.0f / std::sqrt(bank.runningVar[cs] + eps);
+        float g = bank.gamma.value[cs];
+        float b = bank.beta.value[cs];
+        return [=](float v) { return relu(affine(v, mean, inv_std, g, b)); };
+    });
 }
 
 void
@@ -196,6 +218,40 @@ SwitchableBatchNorm2d::emitFusedBnRelu(serve::PlanBuilder &b)
         inferenceInto(vi.denseView(), vo.dense, /*fuse_relu=*/true);
         vo.denseReady = true;
     });
+    b.setTop(out);
+}
+
+void
+SwitchableBatchNorm2d::emitFusedQuantProducer(serve::PlanBuilder &b,
+                                              ActQuant &q, int pad)
+{
+    int in = b.top();
+    int out = b.newValue();
+    b.addStep("sbn+relu+actquant[channel-last]",
+              [this, &q, in, out, pad](serve::ExecutionPlan &p) {
+                  serve::Value &vi = p.value(in);
+                  serve::Value &vo = p.value(out);
+                  vo.reset();
+                  const Tensor &x = vi.denseView();
+                  const int bits = q.quantState().actBits;
+                  if (bits <= 0) {
+                      // Full precision: ActQuant passes the rectified
+                      // values through to the float convs.
+                      inferenceInto(x, vo.dense, /*fuse_relu=*/true);
+                      vo.denseReady = true;
+                      return;
+                  }
+                  float max_v = q.staticMaxOrNegative();
+                  if (max_v < 0.0f) {
+                      // Dynamic range: ActQuant's own reduction over
+                      // the rectified values, staged in vo.dense
+                      // (not exposed as the value's float view).
+                      inferenceInto(x, vo.dense, /*fuse_relu=*/true);
+                      max_v = ops::maxVal(vo.dense);
+                  }
+                  quantizeChannelLastInto(x, bits, max_v, pad, vo.cl);
+                  vo.hasChannelLast = true;
+              });
     b.setTop(out);
 }
 

@@ -21,6 +21,8 @@
 
 namespace twoinone {
 
+class ActQuant;
+
 /**
  * SwitchableBatchNorm2d over NCHW activations.
  */
@@ -68,6 +70,31 @@ class SwitchableBatchNorm2d : public Layer
      * BN immediately followed by a ReLU). */
     void emitFusedBnRelu(serve::PlanBuilder &b);
 
+    /**
+     * The fused SBN+ReLU+quantize producer: per element the affine
+     * transform and rectify of inferenceInto(fuse_relu) and the grid
+     * snap of QuantTensor::quantizeUnsignedInto (snapUnsigned) on the
+     * unsigned @p bits grid of range @p max_v (scale 0 and all-zero
+     * codes when max_v <= 0, as ActQuant) — bit-identical to
+     * SBN -> ReLU -> ActQuant codes, written channel-last with a
+     * @p pad border into @p out. Reads layer state only, so plan
+     * replicas may run it concurrently.
+     */
+    void quantizeChannelLastInto(const Tensor &x, int bits, float max_v,
+                                 int pad, ChannelLastCodes &out) const;
+
+    /**
+     * Emit one step fusing this SBN, the following ReLU and @p q into
+     * a producer of channel-last conv operand codes (a @p pad border:
+     * the widest padding among the consumer convs). Only for
+     * quantized plans whose consumers of @p q's output are all
+     * Conv2d. At full precision the step writes the rectified dense
+     * values (@p q passes through); with @p q on a dynamic range it
+     * reduces the rectified values first, as ActQuant does.
+     */
+    void emitFusedQuantProducer(serve::PlanBuilder &b, ActQuant &q,
+                                int pad);
+
     int numBanks() const { return static_cast<int>(banks_.size()); }
     int channels() const { return channels_; }
 
@@ -114,6 +141,22 @@ class SwitchableBatchNorm2d : public Layer
 
     Bank &activeBank();
     int activeBankIndex() const;
+    /** The bank inference reads: the active one once trained, else
+     * bank 0 (the aliasing rule above). */
+    const Bank &inferenceBank() const;
+
+    /** @name The per-element inference expression
+     * Shared by every inference kernel, so the fused forms compute
+     * exactly the value the unfused layers do. */
+    /** @{ */
+    static float
+    affine(float x, float mean, float inv_std, float g, float b)
+    {
+        float xhat = (x - mean) * inv_std;
+        return g * xhat + b;
+    }
+    static float relu(float v) { return v > 0.0f ? v : 0.0f; }
+    /** @} */
 };
 
 } // namespace twoinone

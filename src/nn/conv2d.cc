@@ -16,12 +16,11 @@
 #include "nn/conv2d.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "common/thread_pool.hh"
 #include "serve/execution_plan.hh"
@@ -218,180 +217,58 @@ Conv2d::inferFloatInto(const Tensor &x, QuantResult &wq_scratch,
 
 namespace {
 
-/**
- * One image's integer im2col: [C,H,W] codes -> [OH*OW, C*R*S] operand
- * columns (zero padding = code 0). A standalone function with value
- * parameters: the hot gather runs free of the batch dispatch's
- * closure indirection, and the per-(ci, ky) kx runs are branchless —
- * zero-fill the out-of-image prefix/suffix, cast-copy the interior.
- */
-template <typename T>
-void
-im2colCodesImage(const int32_t *in, int c, int h, int w, int oh, int ow,
-                 int kernel, int stride, int padding, T *out)
+/** Copy @p len codes, widening when the column type is wider. Same
+ * width: 16-byte blocks, the tail as one overlapping block — runs are
+ * tens of bytes, where a library memcpy call would cost more than
+ * the copy. */
+template <typename S, typename T>
+inline void
+copyRun(const S *src, T *dst, size_t len)
 {
-    for (int oy = 0; oy < oh; ++oy) {
-        int iy0 = oy * stride - padding;
-        for (int ox = 0; ox < ow; ++ox) {
-            int ix0 = ox * stride - padding;
-            // kx bounds shared by every (ci, ky): ix0+kx in [0, w),
-            // clamped to the kernel (padding may exceed it).
-            int kx_lo = ix0 < 0 ? -ix0 : 0;
-            if (kx_lo > kernel)
-                kx_lo = kernel;
-            int kx_hi = kernel < w - ix0 ? kernel : w - ix0;
-            if (kx_hi < kx_lo)
-                kx_hi = kx_lo;
-            T *dst = out + (static_cast<size_t>(oy) * ow + ox) *
-                               (static_cast<size_t>(c) * kernel * kernel);
-            for (int ci = 0; ci < c; ++ci) {
-                const int32_t *plane =
-                    in + static_cast<size_t>(ci) * h * w;
-                for (int ky = 0; ky < kernel; ++ky) {
-                    int iy = iy0 + ky;
-                    T *d = dst +
-                           (static_cast<size_t>(ci) * kernel + ky) *
-                               kernel;
-                    if (iy < 0 || iy >= h) {
-                        for (int kx = 0; kx < kernel; ++kx)
-                            d[kx] = 0;
-                        continue;
-                    }
-                    const int32_t *src =
-                        plane + static_cast<size_t>(iy) * w + ix0;
-                    for (int kx = 0; kx < kx_lo; ++kx)
-                        d[kx] = 0;
-                    for (int kx = kx_lo; kx < kx_hi; ++kx)
-                        d[kx] = static_cast<T>(src[kx]);
-                    for (int kx = kx_hi; kx < kernel; ++kx)
-                        d[kx] = 0;
-                }
-            }
+    if constexpr (std::is_same<S, T>::value) {
+        const size_t bytes = len * sizeof(T);
+        auto *d = reinterpret_cast<unsigned char *>(dst);
+        auto *s = reinterpret_cast<const unsigned char *>(src);
+        if (bytes < 16) {
+            for (size_t i = 0; i < bytes; ++i)
+                d[i] = s[i];
+            return;
         }
+        size_t i = 0;
+        for (; i + 16 <= bytes; i += 16)
+            std::memcpy(d + i, s + i, 16);
+        if (i < bytes)
+            std::memcpy(d + bytes - 16, s + bytes - 16, 16);
+    } else {
+        for (size_t i = 0; i < len; ++i)
+            dst[i] = static_cast<T>(src[i]);
     }
 }
 
 /**
- * im2col over integer codes: [N,C,H,W] codes -> [N*OH*OW, C*R*S]
- * packed operand columns, parallel over the batch like the float
- * im2col.
+ * One image's tap-copy im2col: [OH*OW, R*R*C] operand columns from a
+ * channel-last image whose border is @p off codes wider than the
+ * conv's padding. The R*C codes of tap row ky of output position
+ * (oy, ox) are contiguous in the image, so each (position, ky) is one
+ * copy, and the columns come out in the (ky, kx, ci) order of the
+ * tap-major weight pack.
  */
-template <typename T>
+template <typename S, typename T>
 void
-im2colCodes(const int32_t *in, int n, int c, int h, int w, int oh, int ow,
-            int kernel, int stride, int padding, T *out)
+tapCopyImage(const S *img, int wp, int c, int oh, int ow, int kernel,
+             int stride, int off, T *out)
 {
-    int patch = c * kernel * kernel;
-    ThreadPool::global().parallelFor(0, n, 1, [=](int64_t nlo,
-                                                  int64_t nhi) {
-        for (int64_t ni = nlo; ni < nhi; ++ni) {
-            im2colCodesImage(in + static_cast<size_t>(ni) * c * h * w, c,
-                             h, w, oh, ow, kernel, stride, padding,
-                             out + static_cast<size_t>(ni) * oh * ow *
-                                       patch);
-        }
-    });
-}
-
-/**
- * Build the per-image im2col gather table: for every [position,
- * patch] column element the source offset within one [C,H,W] image
- * (-1 for zero padding). Geometry-only — computed once per compiled
- * input shape and reused by every serving forward.
- */
-void
-buildGatherTable(int c, int h, int w, int oh, int ow, int kernel,
-                 int stride, int padding, std::vector<int32_t> &idx)
-{
-    int patch = c * kernel * kernel;
-    idx.resize(static_cast<size_t>(oh) * ow * patch);
-    int32_t *out = idx.data();
+    const size_t run = static_cast<size_t>(kernel) * c;
+    const size_t row = static_cast<size_t>(wp) * c;
     for (int oy = 0; oy < oh; ++oy) {
         for (int ox = 0; ox < ow; ++ox) {
-            int iy0 = oy * stride - padding;
-            int ix0 = ox * stride - padding;
-            for (int ci = 0; ci < c; ++ci) {
-                for (int ky = 0; ky < kernel; ++ky) {
-                    int iy = iy0 + ky;
-                    for (int kx = 0; kx < kernel; ++kx) {
-                        int ix = ix0 + kx;
-                        bool in_img = iy >= 0 && iy < h && ix >= 0 &&
-                                      ix < w;
-                        *out++ = in_img
-                                     ? (static_cast<int32_t>(ci) * h +
-                                        iy) * w + ix
-                                     : -1;
-                    }
-                }
-            }
+            T *dst = out + (static_cast<size_t>(oy) * ow + ox) * run * kernel;
+            const S *src = img + static_cast<size_t>(oy * stride + off) * row +
+                           static_cast<size_t>(ox * stride + off) * c;
+            for (int ky = 0; ky < kernel; ++ky, dst += run, src += row)
+                copyRun(src, dst, run);
         }
     }
-}
-
-/**
- * The process-wide gather-table registry: tables are a pure function
- * of the conv/input geometry, so every scratch block (plan replicas,
- * per-layer legacy scratch) of the same geometry shares one
- * heap-allocated table instead of building its own copy — the big
- * per-worker arena saving for multi-replica serving. Entries are held
- * weakly: tables die with their last consumer instead of accumulating
- * for the life of the process. Mutex-guarded — first touch can come
- * from concurrent serving workers.
- */
-std::shared_ptr<const std::vector<int32_t>>
-sharedGatherTable(int c, int h, int w, int oh, int ow, int kernel,
-                  int stride, int padding)
-{
-    using Key = std::array<int, 8>;
-    static std::mutex mu;
-    static std::map<Key, std::weak_ptr<const std::vector<int32_t>>> reg;
-
-    Key key = {c, h, w, oh, ow, kernel, stride, padding};
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = reg.find(key);
-    if (it != reg.end()) {
-        if (auto table = it->second.lock())
-            return table;
-    }
-    // Miss: before building, sweep out map nodes whose tables died —
-    // builds are rare, and without the sweep a long-lived process
-    // would accumulate one dead node per geometry ever served.
-    for (auto iter = reg.begin(); iter != reg.end();) {
-        if (iter->second.expired())
-            iter = reg.erase(iter);
-        else
-            ++iter;
-    }
-    auto table = std::make_shared<std::vector<int32_t>>();
-    buildGatherTable(c, h, w, oh, ow, kernel, stride, padding, *table);
-    reg[key] = table;
-    return table;
-}
-
-/**
- * im2col via the precomputed gather table (serving path): one flat
- * indexed copy per image, parallel over the batch. Identical output
- * to im2colCodes — the table encodes the same source elements and
- * zero padding.
- */
-template <typename T>
-void
-im2colGather(const int32_t *in, int n, size_t img_elems,
-             const std::vector<int32_t> &idx, T *out)
-{
-    const int32_t *gi = idx.data();
-    const size_t cols = idx.size();
-    ThreadPool::global().parallelFor(0, n, 1, [=](int64_t nlo,
-                                                  int64_t nhi) {
-        for (int64_t ni = nlo; ni < nhi; ++ni) {
-            const int32_t *src = in + static_cast<size_t>(ni) * img_elems;
-            T *dst = out + static_cast<size_t>(ni) * cols;
-            for (size_t t = 0; t < cols; ++t) {
-                int32_t ix = gi[t];
-                dst[t] = static_cast<T>(ix >= 0 ? src[ix] : 0);
-            }
-        }
-    });
 }
 
 } // namespace
@@ -414,19 +291,21 @@ Conv2d::forwardQuantized(QuantAct &x)
 
     QuantTensor wlocal;
     const QuantTensor &wq = quantizedCodes(quant_.weightBits, wlocal);
+    iscratch_.stage.stage(x.q, padding_);
     Tensor out;
-    inferQuantInto(x.q, wq, iscratch_, out);
+    inferQuantInto(iscratch_.stage, wq, pscratch_, iscratch_, out);
     return QuantAct(std::move(out));
 }
 
 void
-Conv2d::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
-                       IntGemmScratch &s, Tensor &out, bool serve)
+Conv2d::inferQuantInto(const ChannelLastCodes &x, const QuantTensor &wq,
+                       PackScratch &ps, IntGemmScratch &s, Tensor &out)
 {
-    TWOINONE_ASSERT(xq.shape.size() == 4 && xq.shape[1] == inChannels_,
-                    "Conv2d quantized input shape mismatch");
-    int n = xq.shape[0], h = xq.shape[2], w = xq.shape[3];
-    int oh = outSize(h), ow = outSize(w);
+    TWOINONE_ASSERT(x.c == inChannels_ && x.pad >= padding_,
+                    "Conv2d channel-last input mismatch (C=", x.c,
+                    ", border ", x.pad, " < padding ", padding_, ")");
+    int n = x.n;
+    int oh = outSize(x.h), ow = outSize(x.w);
     TWOINONE_ASSERT(oh > 0 && ow > 0, "Conv2d output collapsed to zero");
 
     int patch = inChannels_ * kernel_ * kernel_;
@@ -434,50 +313,40 @@ Conv2d::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
     s.acc.resize(static_cast<size_t>(n) * outChannels_ * ohw);
     int64_t *acc = s.acc.data();
     const gemm::PackedIntWeights &pack =
-        packedWeights(wq, outChannels_, patch, s);
+        packedWeights(wq, outChannels_, patch, ps);
+    const int off = x.pad - padding_;
 
-    if (serve && (s.gatherH != h || s.gatherW != w || !s.gather)) {
-        // Compiled-geometry gather table, shared across every scratch
-        // block (plan replica) of this geometry: fetched from the
-        // registry on first touch of this input shape, then reused by
-        // every serving forward.
-        s.gather = sharedGatherTable(inChannels_, h, w, oh, ow, kernel_,
-                                     stride_, padding_);
-        s.gatherH = h;
-        s.gatherW = w;
-    }
-    size_t img_elems = static_cast<size_t>(inChannels_) * h * w;
-
-    // Per image: acc[K, OH*OW] = Wq[K, patch] * cols_n[OH*OW, patch]^T
-    // in exact integer arithmetic over the narrowest operand width
-    // (uint8 columns when both sides fit 8 bits, uint16 otherwise).
-    auto run = [&](auto &cols) {
+    // Per image: tap-copy the columns, then acc[K, OH*OW] =
+    // Wq[K, patch] * cols_n[OH*OW, patch]^T in exact integer
+    // arithmetic over the narrowest operand width (uint8 columns when
+    // both sides fit 8 bits, uint16 otherwise).
+    auto run = [&](auto &cols, const auto *src) {
         cols.resize(static_cast<size_t>(n) * ohw * patch);
-        if (serve)
-            im2colGather(xq.codes.data(), n, img_elems, *s.gather,
-                         cols.data());
-        else
-            im2colCodes(xq.codes.data(), n, inChannels_, h, w, oh, ow,
-                        kernel_, stride_, padding_, cols.data());
         ThreadPool::global().parallelFor(
             0, n, 1, [&](int64_t nlo, int64_t nhi) {
                 for (int64_t ni = nlo; ni < nhi; ++ni) {
+                    auto *col = cols.data() +
+                                static_cast<size_t>(ni) * ohw * patch;
+                    tapCopyImage(src + static_cast<size_t>(ni) *
+                                           x.imageSize(),
+                                 x.paddedW(), inChannels_, oh, ow, kernel_,
+                                 stride_, off, col);
                     gemm::igemmPackedTransB(
-                        pack, ohw,
-                        cols.data() + static_cast<size_t>(ni) * ohw * patch,
-                        patch,
+                        pack, ohw, col, patch,
                         acc + static_cast<size_t>(ni) * outChannels_ * ohw,
-                        ohw, xq.bits);
+                        ohw, x.bits);
                 }
             });
     };
-    if (wq.bits <= 8 && xq.bits <= 8)
-        run(s.a8);
+    if (!x.narrow())
+        run(s.a16, x.u16.data());
+    else if (wq.bits <= 8)
+        run(s.a8, x.u8.data());
     else
-        run(s.a16);
+        run(s.a16, x.u8.data());
 
     // Dequantize: out = acc * (w_scale * a_scale) + bias[k].
-    float dq = wq.scale * xq.scale;
+    float dq = wq.scale * x.scale;
     const float *bias = hasBias_ ? bias_.value.data() : nullptr;
     out.ensure({n, outChannels_, oh, ow});
     float *o = out.data();
@@ -495,7 +364,7 @@ Conv2d::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
 
     if (quantTrace_) {
         tracedW_ = wq;
-        tracedA_ = xq;
+        x.toQuantTensor(tracedA_);
         tracedAcc_ = s.acc;
     }
 }
@@ -512,15 +381,21 @@ Conv2d::emitPlanSteps(serve::PlanBuilder &b)
                       serve::Value &vi = p.value(in);
                       serve::Value &vo = p.value(out);
                       serve::LayerScratch &ls = p.scratch(sid);
+                      IntGemmScratch &ops = p.operands();
                       vo.reset();
-                      if (vi.hasCodes && intPathEligible(vi.q)) {
+                      bool nchw = vi.hasCodes && intPathEligible(vi.q);
+                      if (quant_.weightBits > 0 &&
+                          (vi.hasChannelLast || nchw)) {
                           const QuantTensor &wq = quantizedCodes(
                               quant_.weightBits, ls.wcodes);
-                          inferQuantInto(vi.q, wq, ls.ig, vo.dense,
-                                         /*serve=*/true);
+                          if (!vi.hasChannelLast)
+                              ops.stage.stage(vi.q, padding_);
+                          inferQuantInto(vi.hasChannelLast ? vi.cl
+                                                           : ops.stage,
+                                         wq, ls.pack, ops, vo.dense);
                       } else {
-                          inferFloatInto(vi.denseView(), ls.wq, ls.t0,
-                                         vo.dense);
+                          inferFloatInto(vi.denseView(), ls.wq,
+                                         p.floatCols(), vo.dense);
                       }
                       vo.denseReady = true;
                   });
@@ -531,7 +406,7 @@ Conv2d::emitPlanSteps(serve::PlanBuilder &b)
                       serve::Value &vo = p.value(out);
                       serve::LayerScratch &ls = p.scratch(sid);
                       vo.reset();
-                      inferFloatInto(vi.denseView(), ls.wq, ls.t0,
+                      inferFloatInto(vi.denseView(), ls.wq, p.floatCols(),
                                      vo.dense);
                       vo.denseReady = true;
                   });

@@ -38,16 +38,19 @@ class Conv2d : public Layer, public WeightQuantizedLayer
     Tensor backward(const Tensor &grad_out) override;
 
     /**
-     * Integer-datapath forward: consumes unsigned activation codes
-     * (<= 16 bit) and the installed QuantTensor weight codes, stages
-     * the im2col columns at the narrowest operand width (uint8 under
-     * 8 bits, uint16 otherwise), accumulates exactly through the
-     * tile-packed kernels (gemm::igemmPackedTransB), and dequantizes
-     * the integer outputs with the combined scale (bias fused). Falls
-     * back to the float forward when the input carries no codes or
-     * weight quantization is off.
+     * Integer-datapath forward: restages the unsigned activation
+     * codes (<= 16 bit) channel-last with this conv's padding as
+     * border and runs inferQuantInto — the im2col columns at the
+     * narrowest operand width (uint8 under 8 bits, uint16 otherwise),
+     * exact accumulation through the tile-packed kernels
+     * (gemm::igemmPackedTransB), and dequantization with the combined
+     * scale (bias fused). Falls back to the float forward when the
+     * input carries no codes or weight quantization is off.
      */
     QuantAct forwardQuantized(QuantAct &x) override;
+
+    /** Convs pack tap-major: kernel * kernel taps. */
+    int packTaps() const override { return kernel_ * kernel_; }
 
     void emitPlanSteps(serve::PlanBuilder &b) override;
 
@@ -67,17 +70,15 @@ class Conv2d : public Layer, public WeightQuantizedLayer
      * the active weight precision. */
     bool intPathEligible(const QuantTensor &xq) const;
     /**
-     * Integer inference forward: int im2col + packed igemm + fused
-     * dequant/bias into @p out, staging through @p s. The weights are
-     * the engine-installed pack when it holds @p wq, else a pack
-     * built in @p s and kept across calls while the weights stand
-     * still. With @p serve the im2col runs through the geometry's
-     * shared gather table (plan steps) instead of the address loops
-     * (the per-layer loop) — bit-identical either way.
+     * Integer inference forward over channel-last input codes (border
+     * at least this conv's padding): tap-copy im2col + packed igemm +
+     * fused dequant/bias into @p out, staging through @p s. The
+     * weights are the engine-installed tap-major pack when it holds
+     * @p wq, else a pack built in @p ps and kept across calls while
+     * the weights stand still.
      */
-    void inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
-                        IntGemmScratch &s, Tensor &out,
-                        bool serve = false);
+    void inferQuantInto(const ChannelLastCodes &x, const QuantTensor &wq,
+                        PackScratch &ps, IntGemmScratch &s, Tensor &out);
     /** @} */
 
     void collectParameters(std::vector<Parameter *> &out) override;
@@ -134,9 +135,11 @@ class Conv2d : public Layer, public WeightQuantizedLayer
     int cachedOh_ = 0;
     int cachedOw_ = 0;
 
-    // Integer-path scratch for the legacy per-layer loop, reused
-    // across forwards (plan steps carry their own IntGemmScratch).
+    // Integer-path scratch for the per-layer loop, reused across
+    // forwards (plans share one operand block across their steps and
+    // keep a PackScratch per step).
     IntGemmScratch iscratch_;
+    PackScratch pscratch_;
 
     /** The fused per-image GEMM+bias loop shared by forward() and
      * inferFloatInto(): out[K, OH*OW] slabs from W[K, patch] x

@@ -37,18 +37,30 @@ WeightQuantizedLayer::quantizedCodes(int bits, QuantTensor &local) const
     return local;
 }
 
+void
+WeightQuantizedLayer::packCodes(const QuantTensor &codes,
+                                gemm::PackedIntWeights &out) const
+{
+    // Weight codes are row-major [rows, reduction] for both kernel
+    // geometries: Conv2d [K, C*k*k] and Linear [out, in].
+    const int m = codes.shape.empty() ? 0 : codes.shape[0];
+    const int k = m > 0 ? static_cast<int>(codes.size()) / m : 0;
+    gemm::packWeights(codes.codes.data(), m, k, codes.bits, out,
+                      packTaps());
+}
+
 const gemm::PackedIntWeights &
 WeightQuantizedLayer::packedWeights(const QuantTensor &wq, int m, int k,
-                                    IntGemmScratch &s) const
+                                    PackScratch &s) const
 {
     const gemm::PackedIntWeights *inst = weightPacked_;
     if (inst && !inst->empty() && inst->bits == wq.bits && inst->m == m &&
-        inst->k == k && weightCodes_ == &wq)
+        inst->k == k && inst->taps == packTaps() && weightCodes_ == &wq)
         return *inst;
     const uint64_t version = masterWeightVersion();
     if (s.packedFrom != wq.codes.data() || s.packedBits != wq.bits ||
         s.packedVersion != version) {
-        gemm::packWeights(wq.codes.data(), m, k, wq.bits, s.wpack);
+        packCodes(wq, s.wpack);
         s.packedFrom = wq.codes.data();
         s.packedBits = wq.bits;
         s.packedVersion = version;

@@ -37,53 +37,51 @@ class PlanBuilder;
 }
 
 /**
- * Reusable integer-datapath scratch: staged activation columns, the
- * locally built weight pack, and the wide accumulators. The per-layer
- * loops own one per layer; compiled plans (serve/execution_plan.hh)
- * own one per emitted step so plan replicas can run concurrently.
+ * Operand staging of the integer GEMMs: restaged channel-last input
+ * codes, im2col columns at the narrowest operand width, the exact
+ * accumulators, and the wide Linear path's lo/hi split. One GEMM uses
+ * it at a time, so a compiled plan shares one block across all its
+ * steps (serve/execution_plan.hh); the per-layer loops own one per
+ * layer.
  */
 struct IntGemmScratch
 {
+    /** NCHW input codes restaged channel-last (conv inputs that no
+     * channel-last producer wrote). */
+    ChannelLastCodes stage;
     std::vector<uint8_t> a8;
     std::vector<uint16_t> a16;
     std::vector<int64_t> acc;
-
-    /** Locally built tile-packed weights (gemm::packWeights) — used
-     * when no engine-owned pack holding the codes in play is
-     * installed on the layer (uncached precisions, detached
-     * engines). */
-    gemm::PackedIntWeights wpack;
     /** Staging buffer of igemmPackedWideTransA's lo/hi activation
-     * split (the Linear wide path); reused across forwards. */
+     * split (the Linear wide path). */
     std::vector<uint16_t> wide16;
 
-    /** @name wpack cache key
-     * Identifies the weight codes wpack was packed from, so repeated
-     * forwards against unchanged weights (the serving steady state)
-     * skip the repack: same source buffer, same precision, same
-     * master-weight version. A re-quantization into the same buffer
-     * at the same (bits, version) reproduces identical codes, so a
-     * pointer match cannot go stale without a version bump. */
-    /** @{ */
+    size_t bytes() const
+    {
+        return stage.bytes() + a8.size() * sizeof(uint8_t) +
+               a16.size() * sizeof(uint16_t) +
+               acc.size() * sizeof(int64_t) +
+               wide16.size() * sizeof(uint16_t);
+    }
+};
+
+/**
+ * A layer's locally built tile-packed weights (gemm::packWeights) —
+ * used when no engine-owned pack holding the codes in play is
+ * installed (uncached precisions, detached engines) — plus the key
+ * of the codes it was packed from, so repeated forwards against
+ * unchanged weights (the serving steady state) skip the repack: same
+ * source buffer, same precision, same master-weight version. A
+ * re-quantization into the same buffer at the same (bits, version)
+ * reproduces identical codes, so a pointer match cannot go stale
+ * without a version bump.
+ */
+struct PackScratch
+{
+    gemm::PackedIntWeights wpack;
     const void *packedFrom = nullptr;
     int packedBits = 0;
     uint64_t packedVersion = 0;
-    /** @} */
-
-    /** @name im2col gather table (serving path)
-     * Per-image source index of every [position, patch] column
-     * element (-1 = zero padding), precomputed once per input
-     * geometry: the serving gather is then one flat indexed copy per
-     * image instead of the reference path's nested address
-     * arithmetic. Tables are geometry-pure, so they are *shared*
-     * through a process-wide registry (see conv2d.cc): every plan
-     * replica of the same conv geometry points at one table instead
-     * of building its own copy, shrinking the per-worker arena. */
-    /** @{ */
-    std::shared_ptr<const std::vector<int32_t>> gather;
-    int gatherH = 0;
-    int gatherW = 0;
-    /** @} */
 };
 
 /**
@@ -257,6 +255,17 @@ class WeightQuantizedLayer
         return weightPacked_;
     }
 
+    /** Reduction-order tag of this layer's packs
+     * (PackedIntWeights::taps): kernel * kernel for convs, whose
+     * columns are tap-major, 1 for Linear. */
+    virtual int packTaps() const { return 1; }
+
+    /** Pack @p codes (this layer's weight codes at some precision)
+     * in the layout its integer forward reads — the one packing rule
+     * the engine's cells and the layer's local scratch pack share. */
+    void packCodes(const QuantTensor &codes,
+                   gemm::PackedIntWeights &out) const;
+
     /** @name Cache accounting
      * Counted per quantized-weight lookup (forward and backward, any
      * path) while the active precision is quantized: a hit used an
@@ -316,12 +325,13 @@ class WeightQuantizedLayer
     /**
      * The tile-packed form of @p wq (an @p m x @p k code matrix) for
      * the packed integer kernels: the installed engine pack when it
-     * holds exactly these codes, else @p s.wpack, repacked only when
-     * its cache key no longer matches @p wq.
+     * holds exactly these codes in this layer's layout, else
+     * @p s.wpack, repacked only when its cache key no longer matches
+     * @p wq.
      */
     const gemm::PackedIntWeights &packedWeights(const QuantTensor &wq,
                                                 int m, int k,
-                                                IntGemmScratch &s) const;
+                                                PackScratch &s) const;
 
     bool quantTrace_ = false;
     QuantTensor tracedW_;

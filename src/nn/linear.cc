@@ -94,13 +94,13 @@ Linear::forwardQuantized(QuantAct &x)
     QuantTensor wlocal;
     const QuantTensor &wq = quantizedCodes(quant_.weightBits, wlocal);
     Tensor out;
-    inferQuantInto(x.q, wq, iscratch_, out);
+    inferQuantInto(x.q, wq, pscratch_, iscratch_, out);
     return QuantAct(std::move(out));
 }
 
 void
 Linear::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
-                       IntGemmScratch &s, Tensor &out)
+                       PackScratch &ps, IntGemmScratch &s, Tensor &out)
 {
     TWOINONE_ASSERT(xq.shape.size() == 2 && xq.shape[1] == inFeatures_,
                     "Linear quantized input shape mismatch");
@@ -118,7 +118,7 @@ Linear::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
                     xq.isSigned ? "signed " : "", xq.bits, " bits");
     s.acc.resize(static_cast<size_t>(n) * outFeatures_);
     gemm::igemmPackedWideTransA(
-        packedWeights(wq, outFeatures_, inFeatures_, s), n,
+        packedWeights(wq, outFeatures_, inFeatures_, ps), n,
         xq.codes.data(), inFeatures_, s.acc.data(), outFeatures_,
         xq.bits, s.wide16);
 
@@ -157,7 +157,8 @@ Linear::emitPlanSteps(serve::PlanBuilder &b)
                       if (quant_.weightBits > 0 && vi.hasCodes) {
                           const QuantTensor &wq = quantizedCodes(
                               quant_.weightBits, ls.wcodes);
-                          inferQuantInto(vi.q, wq, ls.ig, vo.dense);
+                          inferQuantInto(vi.q, wq, ls.pack, p.operands(),
+                                         vo.dense);
                       } else {
                           inferFloatInto(vi.denseView(), ls.wq,
                                          vo.dense);

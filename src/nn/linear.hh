@@ -52,9 +52,9 @@ class Linear : public Layer, public WeightQuantizedLayer
                         Tensor &out);
     /** Wide integer inference forward: packed igemm + fused
      * dequant/bias into @p out, accumulating through @p s (weights
-     * packed as in Conv2d::inferQuantInto). */
+     * packed as in Conv2d::inferQuantInto, locally into @p ps). */
     void inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
-                        IntGemmScratch &s, Tensor &out);
+                        PackScratch &ps, IntGemmScratch &s, Tensor &out);
     /** @} */
 
     void collectParameters(std::vector<Parameter *> &out) override;
@@ -89,9 +89,10 @@ class Linear : public Layer, public WeightQuantizedLayer
     // when installed, else at ownedSteMask_ (see Conv2d).
     const Tensor *steMask_ = nullptr;
     Tensor ownedSteMask_;
-    // Integer-path scratch for the legacy loop (plan steps carry
-    // their own IntGemmScratch).
+    // Integer-path scratch for the per-layer loop (plans share one
+    // operand block and keep a PackScratch per step).
     IntGemmScratch iscratch_;
+    PackScratch pscratch_;
 
     /** The batch-parallel bias add shared by forward() and
      * inferFloatInto(). */

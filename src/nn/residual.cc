@@ -5,6 +5,7 @@
 
 #include "nn/residual.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "serve/execution_plan.hh"
@@ -65,12 +66,22 @@ void
 PreActBlock::emitPlanSteps(serve::PlanBuilder &b)
 {
     // Mirrors forwardQuantized()'s composition; SBN+ReLU pairs run
-    // fused (identical per-element values).
+    // fused (identical per-element values), and in a quantized plan
+    // the ActQuant joins them: both quantized values feed only convs,
+    // so their producers write channel-last operand codes directly.
+    const bool quantized = b.mode() == serve::PlanMode::Quantized;
     int x = b.top();
 
-    // h = q1(relu1(bn1(x)))
-    bn1_.emitFusedBnRelu(b);
-    q1_.emitPlanSteps(b);
+    // h = q1(relu1(bn1(x))), read by conv1 and the projection.
+    if (quantized) {
+        int pad = conv1_.padding();
+        if (convSc_)
+            pad = std::max(pad, convSc_->padding());
+        bn1_.emitFusedQuantProducer(b, q1_, pad);
+    } else {
+        bn1_.emitFusedBnRelu(b);
+        q1_.emitPlanSteps(b);
+    }
     int h = b.top();
 
     // Shortcut branch: projection conv from h, or the identity x.
@@ -85,8 +96,12 @@ PreActBlock::emitPlanSteps(serve::PlanBuilder &b)
 
     // Main branch: conv2(q2(relu2(bn2(conv1(h))))).
     conv1_.emitPlanSteps(b);
-    bn2_.emitFusedBnRelu(b);
-    q2_.emitPlanSteps(b);
+    if (quantized) {
+        bn2_.emitFusedQuantProducer(b, q2_, conv2_.padding());
+    } else {
+        bn2_.emitFusedBnRelu(b);
+        q2_.emitPlanSteps(b);
+    }
     conv2_.emitPlanSteps(b);
     int y = b.top();
 

@@ -80,24 +80,20 @@ QuantTensor::quantizeSymmetricInto(const Tensor &x, int bits,
     int32_t *codes = q.codes.data();
     float *mask = ste_mask_out ? ste_mask_out->data() : nullptr;
     float *values = values_out ? values_out->data() : nullptr;
+    const float fq = static_cast<float>(qmax);
     ops::gatedParallelFor(
         static_cast<int64_t>(x.size()), kQuantGrain,
-        [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i) {
-                float g = std::nearbyint(in[i] / scale);
-                if (g > qmax) {
-                    g = static_cast<float>(qmax);
-                    if (mask)
-                        mask[i] = 0.0f;
-                } else if (g < -qmax) {
-                    g = static_cast<float>(-qmax);
-                    if (mask)
-                        mask[i] = 0.0f;
-                }
-                codes[i] = static_cast<int32_t>(g);
-                if (values)
-                    values[i] = g * scale;
-            }
+        [=](int64_t lo, int64_t hi) {
+            // One pass per output keeps each loop branch-free, so all
+            // three vectorize (the snap is recomputed, not stored).
+            for (int64_t i = lo; i < hi; ++i)
+                codes[i] = static_cast<int32_t>(snapSigned(in[i], scale, fq));
+            if (values)
+                for (int64_t i = lo; i < hi; ++i)
+                    values[i] = snapSigned(in[i], scale, fq) * scale;
+            if (mask)
+                for (int64_t i = lo; i < hi; ++i)
+                    mask[i] = steMaskSigned(in[i], scale, fq);
         });
 }
 
@@ -145,21 +141,15 @@ QuantTensor::quantizeUnsignedInto(const Tensor &x, int bits, float max_v,
     q.scale = scale;
     int32_t *codes = q.codes.data();
     float *mask = ste_mask_out ? ste_mask_out->data() : nullptr;
+    const float fq = static_cast<float>(qmax);
     ops::gatedParallelFor(
         static_cast<int64_t>(x.size()), kQuantGrain,
-        [&](int64_t lo, int64_t hi) {
+        [=](int64_t lo, int64_t hi) {
             for (int64_t i = lo; i < hi; ++i) {
-                float g = std::nearbyint(in[i] / scale);
-                if (g < 0.0f) {
-                    g = 0.0f;
-                    if (mask)
-                        mask[i] = 0.0f;
-                } else if (g > qmax) {
-                    g = static_cast<float>(qmax);
-                    if (mask)
-                        mask[i] = 0.0f;
-                }
-                codes[i] = static_cast<int32_t>(g);
+                codes[i] =
+                    static_cast<int32_t>(snapUnsigned(in[i], scale, fq));
+                if (mask)
+                    mask[i] = steMaskUnsigned(in[i], scale, fq);
             }
         });
 }
@@ -185,6 +175,100 @@ QuantTensor::dequantizeInto(Tensor &out) const
             for (int64_t i = lo; i < hi; ++i)
                 dst[i] = static_cast<float>(src[i]) * s;
         });
+}
+
+namespace {
+
+template <typename T>
+void
+stageCodes(const QuantTensor &q, const ChannelLastCodes &cl, T *buf)
+{
+    using IL = ChannelInterleave<T>;
+    const int c = cl.c, h = cl.h, w = cl.w;
+    const size_t plane = static_cast<size_t>(h) * w;
+    const int32_t *src = q.codes.data();
+    cl.fillRows(buf, [=](int ni, int y, T *dst) {
+        const int32_t *row =
+            src + static_cast<size_t>(ni) * c * plane +
+            static_cast<size_t>(y) * w;
+        int ci = 0;
+        for (; ci + IL::kGroup <= c; ci += IL::kGroup)
+            IL::group(row + ci * plane, plane, w, dst + ci, c);
+        for (; ci < c; ++ci)
+            IL::single(row + ci * plane, w, dst + ci, c);
+    });
+}
+
+template <typename T>
+void
+unstageCodes(const ChannelLastCodes &cl, const T *buf, int32_t *out)
+{
+    const int c = cl.c, h = cl.h, w = cl.w, wp = cl.paddedW();
+    for (int ni = 0; ni < cl.n; ++ni) {
+        const T *img = buf + static_cast<size_t>(ni) * cl.imageSize();
+        for (int ci = 0; ci < c; ++ci)
+            for (int y = 0; y < h; ++y) {
+                const T *r = img + (static_cast<size_t>(y + cl.pad) * wp +
+                                    cl.pad) *
+                                       c +
+                             ci;
+                int32_t *d =
+                    out + ((static_cast<size_t>(ni) * c + ci) * h + y) * w;
+                for (int x = 0; x < w; ++x)
+                    d[x] = r[static_cast<size_t>(x) * c];
+            }
+    }
+}
+
+} // namespace
+
+void
+ChannelLastCodes::reshape(int n_, int c_, int h_, int w_, int pad_,
+                          int bits_)
+{
+    TWOINONE_ASSERT(n_ > 0 && c_ > 0 && h_ > 0 && w_ > 0 && pad_ >= 0 &&
+                        bits_ >= 1 && bits_ <= 16,
+                    "bad channel-last geometry");
+    n = n_;
+    c = c_;
+    h = h_;
+    w = w_;
+    pad = pad_;
+    bits = bits_;
+    size_t total = static_cast<size_t>(n) * imageSize();
+    if (narrow())
+        u8.resize(total);
+    else
+        u16.resize(total);
+}
+
+void
+ChannelLastCodes::stage(const QuantTensor &q, int pad_)
+{
+    TWOINONE_ASSERT(q.shape.size() == 4 && !q.isSigned && q.bits >= 1 &&
+                        q.bits <= 16,
+                    "channel-last staging needs 4-D unsigned codes of "
+                    "<= 16 bits");
+    reshape(q.shape[0], q.shape[1], q.shape[2], q.shape[3], pad_, q.bits);
+    scale = q.scale;
+    if (narrow())
+        stageCodes(q, *this, u8.data());
+    else
+        stageCodes(q, *this, u16.data());
+}
+
+void
+ChannelLastCodes::toQuantTensor(QuantTensor &out) const
+{
+    out.shape = {n, c, h, w};
+    out.codes.resize(static_cast<size_t>(n) * c * h * w);
+    out.scale = scale;
+    out.bits = bits;
+    out.isSigned = false;
+    if (narrow())
+        unstageCodes(*this, u8.data(), out.codes.data());
+    else
+        unstageCodes(*this, u16.data(), out.codes.data());
 }
 
 } // namespace twoinone

@@ -78,11 +78,14 @@ RpsEngine::tryHydrate(size_t layer, size_t prec)
     e.floats.scale = e.codes.scale;
     e.floats.bits = e.codes.bits;
     e.floatsReady = false;
-    if (h.hasPack) {
+    // A persisted pack in another layout than the layer reads (e.g.
+    // a conv pack from before tap-major packing) is never installed:
+    // the cell repacks on first install instead.
+    if (h.hasPack && h.packed.taps == layers_[layer]->packTaps()) {
         e.packed = std::move(h.packed);
         e.packedReady = true;
     } else if (e.packedReady) {
-        packEntry(e); // keep a live tile pack current
+        packEntry(layer, e); // keep a live tile pack current
     }
     e.built = true;
     e.builtVersion = layers_[layer]->masterWeightVersion();
@@ -101,14 +104,9 @@ RpsEngine::ensureCell(size_t layer, size_t prec, bool want_floats)
 }
 
 void
-RpsEngine::packEntry(CacheEntry &e)
+RpsEngine::packEntry(size_t layer, CacheEntry &e)
 {
-    // Weight codes are row-major [rows, reduction] for both kernel
-    // geometries: Conv2d [K, C*k*k] and Linear [out, in].
-    const int m = e.codes.shape.empty() ? 0 : e.codes.shape[0];
-    const int k =
-        m > 0 ? static_cast<int>(e.codes.size()) / m : 0;
-    gemm::packWeights(e.codes.codes.data(), m, k, e.codes.bits, e.packed);
+    layers_[layer]->packCodes(e.codes, e.packed);
     e.packedReady = true;
     packBuilds_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -128,7 +126,7 @@ RpsEngine::rebuildCell(size_t layer, size_t prec, bool want_floats)
     e.floats.bits = e.codes.bits;
     e.floatsReady = floats;
     if (e.packedReady)
-        packEntry(e); // keep installed pack pointers current
+        packEntry(layer, e); // keep installed pack pointers current
     e.built = true;
     e.builtVersion = layers_[layer]->masterWeightVersion();
     columnRebuilds_.fetch_add(1, std::memory_order_relaxed);
@@ -235,7 +233,7 @@ RpsEngine::setPrecision(int bits)
                 // quantization, so it does not count as a column
                 // rebuild — checkpoint warm starts stay at zero.
                 if (!e.packedReady)
-                    packEntry(e);
+                    packEntry(ls, e);
             }
         });
     const uint64_t tick = ++useTick_;
@@ -342,7 +340,7 @@ RpsEngine::importCellImpl(size_t layer, size_t prec, QuantTensor codes,
     e.floats.bits = e.codes.bits;
     e.floatsReady = false;
     if (e.packedReady)
-        packEntry(e); // keep a live tile pack current
+        packEntry(layer, e); // keep a live tile pack current
     e.built = true;
     e.builtVersion = layers_[layer]->masterWeightVersion();
     e.lastUse = ++useTick_;
@@ -368,9 +366,13 @@ RpsEngine::importCell(size_t layer, size_t prec, QuantTensor codes,
                         packed.bits == codes.bits,
                     "imported pack geometry does not match its codes");
     importCellImpl(layer, prec, std::move(codes), std::move(ste_mask));
-    CacheEntry &e = cache_[layer][prec];
-    e.packed = std::move(packed);
-    e.packedReady = true;
+    // Same layout rule as tryHydrate: a pack in another layout is
+    // dropped and rebuilt on first install.
+    if (packed.taps == layers_[layer]->packTaps()) {
+        CacheEntry &e = cache_[layer][prec];
+        e.packed = std::move(packed);
+        e.packedReady = true;
+    }
     evictToBudget();
 }
 
@@ -385,7 +387,7 @@ RpsEngine::packedFor(size_t layer, int bits)
     CacheEntry &e = cache_[layer][p];
     e.lastUse = ++useTick_;
     if (!e.packedReady)
-        packEntry(e);
+        packEntry(layer, e);
     return e.packed;
 }
 

@@ -281,7 +281,10 @@ class RpsEngine
      * so the first precision switch skips the pack pass entirely —
      * packBuilds() stays 0 on a fully pack-warm start. @p packed must
      * have been produced by gemm::packWeights over exactly @p codes;
-     * geometry mismatches panic.
+     * geometry mismatches panic. A pack whose layout tag
+     * (PackedIntWeights::taps) differs from the layer's packTaps() —
+     * a conv pack persisted before tap-major packing — is dropped:
+     * the cell repacks on first install (counted in packBuilds()).
      */
     void importCell(size_t layer, size_t prec, QuantTensor codes,
                     Tensor ste_mask, gemm::PackedIntWeights packed);
@@ -377,8 +380,9 @@ class RpsEngine
      * installed pack pointers stay current. */
     void rebuildCell(size_t layer, size_t prec, bool want_floats);
 
-    /** (Re)build a cell's tile-packed kernel weights from its codes. */
-    void packEntry(CacheEntry &e);
+    /** (Re)build a cell's tile-packed kernel weights from its codes,
+     * in the layout layer @p layer reads (packCodes). */
+    void packEntry(size_t layer, CacheEntry &e);
 
     /** Bytes one cell currently holds (the cacheBytes() summand). */
     static size_t cellBytes(const CacheEntry &e);

@@ -1,8 +1,8 @@
 /**
  * @file
  * ExecutionPlan implementation: builder plumbing, the compile walk
- * (with the SBN+ReLU fusion peephole), warm-up sizing, and the
- * allocation-free dispatch loop.
+ * (with the SBN+ReLU and SBN+ReLU+quantize fusion peepholes), warm-up
+ * sizing, and the allocation-free dispatch loop.
  */
 
 #include "serve/execution_plan.hh"
@@ -13,6 +13,7 @@
 
 #include "nn/activation.hh"
 #include "nn/batchnorm.hh"
+#include "nn/conv2d.hh"
 #include "nn/network.hh"
 
 namespace twoinone {
@@ -97,17 +98,36 @@ ExecutionPlan::compile(Network &net, const PrecisionSet &precisions,
     PlanBuilder b(*plan);
     b.setTop(plan->inputId_);
     // The integer datapath quantizes the network input so the stem
-    // conv consumes codes; the float path feeds the raw input.
-    if (mode == PlanMode::Quantized)
-        net.inputQuant().emitPlanSteps(b);
-    for (size_t i = 0; i < net.numLayers(); ++i) {
+    // conv consumes codes — straight into its channel-last operand
+    // form; the float path feeds the raw input.
+    const size_t nl = net.numLayers();
+    if (mode == PlanMode::Quantized) {
+        if (auto *stem = dynamic_cast<Conv2d *>(&net.layer(0)))
+            net.inputQuant().emitChannelLastPlanStep(b, stem->padding());
+        else
+            net.inputQuant().emitPlanSteps(b);
+    }
+    for (size_t i = 0; i < nl; ++i) {
         Layer *l = &net.layer(i);
         // Peephole: an SBN immediately followed by a ReLU runs as one
         // fused normalize+rectify pass (identical per-element
-        // arithmetic, one buffer and one sweep saved).
+        // arithmetic, one buffer and one sweep saved). In a quantized
+        // plan, when an ActQuant follows and a conv consumes it, the
+        // quantize joins the pass too: one producer step writing the
+        // conv's channel-last operand codes.
         auto *bn = dynamic_cast<SwitchableBatchNorm2d *>(l);
-        if (bn && i + 1 < net.numLayers() &&
+        if (bn && i + 1 < nl &&
             dynamic_cast<ReLU *>(&net.layer(i + 1)) != nullptr) {
+            auto *aq = i + 2 < nl ? dynamic_cast<ActQuant *>(&net.layer(i + 2))
+                                  : nullptr;
+            auto *conv = i + 3 < nl
+                             ? dynamic_cast<Conv2d *>(&net.layer(i + 3))
+                             : nullptr;
+            if (mode == PlanMode::Quantized && aq && conv) {
+                bn->emitFusedQuantProducer(b, *aq, conv->padding());
+                i += 2;
+                continue;
+            }
             bn->emitFusedBnRelu(b);
             ++i;
             continue;
@@ -245,19 +265,14 @@ ExecutionPlan::describe() const
 size_t
 ExecutionPlan::arenaBytes() const
 {
-    size_t bytes = stage_.size() * sizeof(float);
+    size_t bytes = stage_.size() * sizeof(float) + operands_.bytes() +
+                   floatCols_.size() * sizeof(float);
     for (const Value &v : values_)
-        bytes += v.dense.size() * sizeof(float) + v.q.bytes();
+        bytes += v.bytes();
     for (const LayerScratch &s : scratch_) {
-        bytes += s.t0.size() * sizeof(float);
         bytes += s.wq.values.size() * sizeof(float) +
                  s.wq.steMask.size() * sizeof(float);
-        bytes += s.wcodes.bytes();
-        bytes += s.ig.a8.size() * sizeof(uint8_t) +
-                 s.ig.a16.size() * sizeof(uint16_t) +
-                 s.ig.acc.size() * sizeof(int64_t);
-        bytes += s.ig.wpack.bytes() +
-                 s.ig.wide16.size() * sizeof(uint16_t);
+        bytes += s.wcodes.bytes() + s.pack.wpack.bytes();
     }
     return bytes;
 }

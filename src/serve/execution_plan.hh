@@ -8,9 +8,11 @@
  *
  * A Network is compiled once per (mode, max input shape) into an
  * ExecutionPlan — a flat list of steps (input quantize, int im2col +
- * igemm + fused dequant/bias, fused BN/ReLU, activation quantize,
+ * igemm + fused dequant/bias, fused BN/ReLU, fused BN/ReLU/quantize
+ * producers of channel-last conv operands, activation quantize,
  * pool, residual join, classifier GEMM) over a preallocated arena of
- * activation values and per-layer scratch buffers. Executing a plan
+ * activation values, per-layer scratch buffers and one plan-wide
+ * operand staging block. Executing a plan
  * performs *zero tensor allocations*: every buffer is sized during
  * compile()'s warm-up dry runs (one per candidate precision) and
  * reused across forwards; Tensor::allocationCount() pins the contract
@@ -64,9 +66,12 @@ enum class PlanMode {
 /**
  * An arena-resident activation value: integer codes and/or a float
  * view, mirroring QuantAct but with persistent storage. Steps write
- * codes (hasCodes) or dense (denseReady) or alias another tensor
- * (pass-through and the external input); denseView() materializes
- * the float view from the codes on demand, into arena storage.
+ * NCHW codes (hasCodes), channel-last conv operand codes
+ * (hasChannelLast — the fused SBN+ReLU+quantize producers, whose
+ * consumers are all integer convs) or dense (denseReady), or alias
+ * another tensor (pass-through and the external input); denseView()
+ * materializes the float view from the codes on demand, into arena
+ * storage.
  */
 struct Value
 {
@@ -74,7 +79,9 @@ struct Value
     const Tensor *alias = nullptr;
     Tensor dense;
     QuantTensor q;
+    ChannelLastCodes cl;
     bool hasCodes = false;
+    bool hasChannelLast = false;
     bool denseReady = false;
 
     const Tensor &
@@ -82,6 +89,10 @@ struct Value
     {
         if (alias)
             return *alias;
+        if (!denseReady && hasChannelLast) {
+            cl.toQuantTensor(q);
+            hasCodes = true;
+        }
         if (!denseReady && hasCodes) {
             q.dequantizeInto(dense);
             denseReady = true;
@@ -95,21 +106,30 @@ struct Value
     {
         alias = nullptr;
         hasCodes = false;
+        hasChannelLast = false;
         denseReady = false;
+    }
+
+    /** Bytes held by the value's storage. */
+    size_t
+    bytes() const
+    {
+        return dense.size() * sizeof(float) + q.bytes() + cl.bytes();
     }
 };
 
 /**
- * Per-emitted-layer scratch: im2col columns, packed integer operands,
- * accumulators, and the uncached-weight fallback buffers. Allocated
- * once at compile, reused every forward.
+ * Per-emitted-layer scratch: the uncached-weight fallback buffers and
+ * the locally built weight pack. Allocated once at compile, reused
+ * every forward. The operand staging (im2col columns, accumulators)
+ * is plan-wide instead: steps run one after another, so one block
+ * serves them all (ExecutionPlan::operands / floatCols).
  */
 struct LayerScratch
 {
-    Tensor t0;          ///< float scratch (im2col columns)
     QuantResult wq;     ///< uncached weight fake-quant fallback
     QuantTensor wcodes; ///< uncached weight codes fallback
-    IntGemmScratch ig;  ///< packed integer operands + accumulators
+    PackScratch pack;   ///< locally built tile-packed weights
 };
 
 /**
@@ -213,6 +233,10 @@ class ExecutionPlan
     /** @{ */
     Value &value(int id);
     LayerScratch &scratch(int id);
+    /** The integer operand staging every step shares. */
+    IntGemmScratch &operands() { return operands_; }
+    /** The float im2col columns every float conv step shares. */
+    Tensor &floatCols() { return floatCols_; }
     /** @} */
 
     /** @name Arena introspection (tests/diagnostics) */
@@ -241,6 +265,8 @@ class ExecutionPlan
     /** Deques keep element addresses stable while emitters append. */
     std::deque<Value> values_;
     std::deque<LayerScratch> scratch_;
+    IntGemmScratch operands_;
+    Tensor floatCols_;
     Tensor stage_;   ///< runRows staging buffer
     int inputId_ = 0;
     int outputId_ = 0;

@@ -166,12 +166,19 @@ constexpr int kPackTileM = 16;
  * holds each row's code sum — the exact correction term the 16-bit
  * activation path's bias trick adds back (a_u16 = (a ^ 0x8000) +
  * 32768).
+ *
+ * taps is the layout tag of the reduction order: 1 packs each row's
+ * codes in source order; taps > 1 packs conv weights [C][taps]
+ * (C = k / taps, taps = kernel * kernel) tap-major, reduction index
+ * tap * C + c — the column order of the channel-last im2col. A pack
+ * is only valid for a consumer whose columns use the same order.
  */
 struct PackedIntWeights
 {
     int m = 0;    ///< Output rows (channels).
     int k = 0;    ///< Reduction length.
     int bits = 0; ///< Weight-code precision packed at.
+    int taps = 1; ///< Reduction-order tag (see above).
     int tiles = 0;
     int groups8 = 0;  ///< ceil(k / 4); p8 is empty when bits > 8.
     int groups16 = 0; ///< ceil(k / 2).
@@ -196,11 +203,13 @@ struct PackedIntWeights
 
 /**
  * Pack @p m x @p k row-major weight codes (int32 grid codes of
- * @p w_bits precision) into @p out. Deterministic: repacking identical
- * codes reproduces an identical buffer.
+ * @p w_bits precision) into @p out. With @p taps > 1 each row is read
+ * as [k / taps][taps] and packed tap-major (PackedIntWeights::taps).
+ * Deterministic: repacking identical codes reproduces an identical
+ * buffer.
  */
 void packWeights(const int32_t *codes, int m, int k, int w_bits,
-                 PackedIntWeights &out);
+                 PackedIntWeights &out, int taps = 1);
 
 /**
  * C[w.m, n] = packed(W) * B[n, k]^T — the packed counterpart of the

@@ -806,13 +806,17 @@ isaTierName(IsaTier t)
 
 void
 packWeights(const int32_t *codes, int m, int k, int w_bits,
-            PackedIntWeights &out)
+            PackedIntWeights &out, int taps)
 {
     TWOINONE_ASSERT(m >= 0 && k >= 0 && w_bits >= 1 && w_bits <= 16,
                     "packWeights needs codes of 1..16 bits");
+    TWOINONE_ASSERT(taps >= 1 && k % taps == 0, "packWeights: k=", k,
+                    " is not a whole number of ", taps, " taps");
+    const int chans = k / taps;
     out.m = m;
     out.k = k;
     out.bits = w_bits;
+    out.taps = taps;
     out.tiles = (m + kPackTileM - 1) / kPackTileM;
     out.groups8 = w_bits <= 8 ? (k + 3) / 4 : 0;
     out.groups16 = (k + 1) / 2;
@@ -829,7 +833,9 @@ packWeights(const int32_t *codes, int m, int k, int w_bits,
         const int32_t *src = codes + static_cast<size_t>(row) * k;
         int64_t sum = 0;
         for (int p = 0; p < k; ++p) {
-            const int32_t v = src[p];
+            // Reduction index p = tap * chans + ci reads source code
+            // ci * taps + tap (the identity at taps == 1).
+            const int32_t v = src[(p % chans) * taps + p / chans];
             sum += v;
             if (!out.p8.empty())
                 out.p8[(static_cast<size_t>(t) * out.groups8 + p / 4) *

@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "io/checkpoint.hh"
+#include "io/stream.hh"
 #include "nn/loss.hh"
 #include "nn/model_zoo.hh"
 #include "nn/sgd.hh"
@@ -279,6 +280,140 @@ TEST(Checkpoint, EnginePacksPersistBehindTheFlag)
     std::remove(path.c_str());
     std::remove(plain.c_str());
     std::remove(again.c_str());
+}
+
+/** Rewrite the artifact at @p path into @p out with every section
+ * payload passed through @p edit(section, payload) — reassembled with
+ * a fresh directory and checksums, the way checkpoint::save frames a
+ * file. */
+template <typename Edit>
+void
+rewriteSections(const std::string &path, const std::string &out,
+                Edit edit)
+{
+    io::SectionReader sr(path);
+    std::vector<uint8_t> file = io::readFile(path);
+    std::vector<std::vector<uint8_t>> payloads;
+    for (const io::SectionInfo &si : sr.sections()) {
+        std::vector<uint8_t> bytes = sr.read(si);
+        edit(si, bytes);
+        payloads.push_back(std::move(bytes));
+    }
+    io::Writer front;
+    for (int i = 0; i < 8; ++i)
+        front.u8(file[static_cast<size_t>(i)]); // magic
+    front.u32(sr.version());
+    front.u32(sr.flags());
+    front.u32(static_cast<uint32_t>(payloads.size()));
+    uint64_t offset = io::kStreamHeaderBytes + sizeof(uint32_t) +
+                      payloads.size() * io::kDirEntryBytes +
+                      sizeof(uint64_t);
+    for (size_t i = 0; i < payloads.size(); ++i) {
+        const io::SectionInfo &si = sr.sections()[i];
+        for (char c : si.tag)
+            front.u8(static_cast<uint8_t>(c));
+        front.i32(si.a);
+        front.i32(si.b);
+        front.u64(offset);
+        front.u64(payloads[i].size());
+        front.u64(io::fnv1a(payloads[i].data(), payloads[i].size()));
+        offset += payloads[i].size();
+    }
+    front.u64(io::fnv1a(front.bytes().data(), front.size()));
+    std::vector<uint8_t> bytes = front.bytes();
+    for (const std::vector<uint8_t> &p : payloads)
+        bytes.insert(bytes.end(), p.begin(), p.end());
+    io::writeFile(out, bytes);
+}
+
+/** A pack section written before tap-major conv packs: the PACK
+ * payload of the time (no layout tag) over gemm::packWeights of the
+ * unpermuted codes. */
+std::vector<uint8_t>
+legacyPackSection(const QuantTensor &codes)
+{
+    int m = codes.shape[0];
+    int k = static_cast<int>(codes.size()) / m;
+    gemm::PackedIntWeights p;
+    gemm::packWeights(codes.codes.data(), m, k, codes.bits, p);
+    io::Writer w;
+    w.i32(p.m);
+    w.i32(p.k);
+    w.i32(p.bits);
+    w.i32(p.tiles);
+    w.i32(p.groups8);
+    w.i32(p.groups16);
+    w.u8Vec(reinterpret_cast<const char *>(p.p8.data()), p.p8.size());
+    w.i16Vec(p.p16.data(), p.p16.size());
+    w.i64Vec(p.rowSum.data(), p.rowSum.size());
+    return w.bytes();
+}
+
+/** An artifact whose conv packs predate tap-major packing (PACK
+ * sections without the layout tag, (ci, ky, kx)-ordered) never
+ * installs them: each kernel > 1 conv cell repacks on first install
+ * and counts in packBuilds(), the still-valid source-order packs (1x1
+ * convs, Linear) import as before, and the logits stay bit-identical
+ * at every candidate — through the eager and the streaming loader. */
+TEST(Checkpoint, LegacyLayoutConvPacksAreRebuiltNotInstalled)
+{
+    Network net = makeResidualNet(49);
+    Tensor x = makeInput(12);
+    RpsEngine engine(net);
+    std::string path = tmpPath("packs_tapmajor");
+    checkpoint::SaveOptions opts;
+    opts.includeEnginePacks = true;
+    checkpoint::save(path, net, &engine, opts);
+
+    std::vector<WeightQuantizedLayer *> layers = net.weightQuantizedLayers();
+    std::string legacy = tmpPath("packs_legacy");
+    rewriteSections(path, legacy,
+                    [&](const io::SectionInfo &si,
+                        std::vector<uint8_t> &bytes) {
+                        if (si.is("PACK"))
+                            bytes = legacyPackSection(engine.codesFor(
+                                static_cast<size_t>(si.a), si.b));
+                    });
+    uint64_t tap_major_cells = 0;
+    for (WeightQuantizedLayer *l : layers)
+        if (l->packTaps() > 1)
+            tap_major_cells += net.precisionSet().size();
+    ASSERT_GT(tap_major_cells, 0u);
+    ASSERT_LT(tap_major_cells,
+              layers.size() * net.precisionSet().size());
+
+    for (bool stream : {false, true}) {
+        SCOPED_TRACE(stream ? "streaming" : "eager");
+        SessionConfig cfg;
+        cfg.streamArtifact = stream;
+        Session s = Session::fromCheckpoint(legacy, cfg);
+        for (int bits : net.precisionSet().bits()) {
+            Tensor q_ref = engine.forwardQuantizedAt(bits, x);
+            s.switchPrecision(bits);
+            expectBitIdentical(q_ref, s.forwardQuantized(x), bits);
+        }
+        EXPECT_EQ(s.engine().packBuilds(), tap_major_cells);
+        EXPECT_EQ(s.engine().columnRebuilds(), 0u);
+        std::vector<WeightQuantizedLayer *> restored =
+            s.network().weightQuantizedLayers();
+        for (int bits : net.precisionSet().bits())
+            for (size_t l = 0; l < restored.size(); ++l)
+                EXPECT_EQ(s.engine().packedFor(l, bits).taps,
+                          restored[l]->packTaps())
+                    << "layer=" << l << " bits=" << bits;
+    }
+
+    // The untouched artifact carries tap-major packs and installs
+    // every one of them.
+    Session fresh = Session::fromCheckpoint(path);
+    for (int bits : net.precisionSet().bits()) {
+        fresh.switchPrecision(bits);
+        expectBitIdentical(engine.forwardQuantizedAt(bits, x),
+                           fresh.forwardQuantized(x), bits);
+    }
+    EXPECT_EQ(fresh.engine().packBuilds(), 0u);
+    std::remove(path.c_str());
+    std::remove(legacy.c_str());
 }
 
 /** A cache-less artifact still loads; the session builds its engine

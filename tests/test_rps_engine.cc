@@ -308,8 +308,11 @@ TEST(RpsEngine, RefreshDirtyRepacksInstalledColumn)
         const QuantTensor &codes = engine.codesFor(l, bits);
         int m = codes.shape.empty() ? 0 : codes.shape[0];
         int k = m > 0 ? static_cast<int>(codes.size()) / m : 0;
+        // Packed in the layer's own layout: tap-major for convs.
         gemm::PackedIntWeights fresh;
-        gemm::packWeights(codes.codes.data(), m, k, codes.bits, fresh);
+        gemm::packWeights(codes.codes.data(), m, k, codes.bits, fresh,
+                          layers[l]->packTaps());
+        EXPECT_EQ(inst->taps, layers[l]->packTaps()) << "layer=" << l;
         EXPECT_EQ(inst->p8, fresh.p8) << "layer=" << l;
         EXPECT_EQ(inst->p16, fresh.p16) << "layer=" << l;
         EXPECT_EQ(inst->rowSum, fresh.rowSum) << "layer=" << l;

@@ -15,11 +15,18 @@
 #include <memory>
 
 #include "common/thread_pool.hh"
+#include "nn/activation.hh"
+#include "nn/batchnorm.hh"
+#include "nn/conv2d.hh"
+#include "nn/linear.hh"
 #include "nn/model_zoo.hh"
+#include "nn/pooling.hh"
+#include "nn/residual.hh"
 #include "quant/calibration.hh"
 #include "quant/rps_engine.hh"
 #include "serve/runtime.hh"
 #include "serve/session.hh"
+#include "tensor/gemm.hh"
 
 namespace twoinone {
 namespace {
@@ -242,43 +249,127 @@ TEST(Session, EntryPointsBitIdenticalToNetworkLoops)
     }
 }
 
-/** im2col gather tables are geometry-pure and come from a shared
- * registry: plan replicas of the same geometry hold pointers to the
- * SAME table instead of private copies (PR 4 follow-up — shrinks the
- * per-worker serving arena). */
-TEST(ExecutionPlan, GatherTablesSharedAcrossReplicas)
+/** Plain gemm::igemmTransB over one traced conv's NCHW codes — an
+ * (ci, ky, kx)-ordered im2col per image against the unpermuted weight
+ * codes — must reproduce its traced accumulators. */
+void
+expectTracedConvMatchesIgemm(Conv2d *conv, int bits)
 {
-    Network net = makeResidualNet(52);
-    Tensor x = makeInput(15);
-    RpsEngine engine(net);
-    std::unique_ptr<serve::ExecutionPlan> a = net.compile(
-        net.precisionSet(), serve::PlanMode::Quantized, x.shape());
-    std::unique_ptr<serve::ExecutionPlan> b = net.compile(
-        net.precisionSet(), serve::PlanMode::Quantized, x.shape());
+    const QuantTensor &wq = conv->tracedWeightCodes();
+    const QuantTensor &acts = conv->tracedActCodes();
+    ASSERT_EQ(acts.shape.size(), 4u) << "bits=" << bits;
+    int n = acts.shape[0], c = acts.shape[1], h = acts.shape[2],
+        w = acts.shape[3];
+    int k = conv->kernel(), m = conv->outChannels();
+    int s = conv->stride(), pad = conv->padding();
+    int oh = conv->outSize(h), ow = conv->outSize(w);
+    int patch = c * k * k, ohw = oh * ow;
+    const std::vector<int64_t> &acc = conv->tracedAccumulators();
+    ASSERT_EQ(acc.size(), static_cast<size_t>(n) * m * ohw);
 
-    // Run both replicas at a quantized precision so every conv step
-    // has touched its gather table.
-    engine.setPrecision(8);
-    a->run(x);
-    b->run(x);
+    std::vector<int16_t> w16(wq.codes.begin(), wq.codes.end());
+    std::vector<uint16_t> cols(static_cast<size_t>(ohw) * patch);
+    std::vector<int64_t> ref(static_cast<size_t>(m) * ohw);
+    for (int ni = 0; ni < n; ++ni) {
+        const int32_t *img =
+            acts.codes.data() + static_cast<size_t>(ni) * c * h * w;
+        uint16_t *col = cols.data();
+        for (int oy = 0; oy < oh; ++oy)
+            for (int ox = 0; ox < ow; ++ox)
+                for (int ci = 0; ci < c; ++ci)
+                    for (int ky = 0; ky < k; ++ky)
+                        for (int kx = 0; kx < k; ++kx) {
+                            int iy = oy * s - pad + ky;
+                            int ix = ox * s - pad + kx;
+                            bool in = iy >= 0 && iy < h && ix >= 0 &&
+                                      ix < w;
+                            *col++ = static_cast<uint16_t>(
+                                in ? img[(ci * h + iy) * w + ix] : 0);
+                        }
+        gemm::igemmTransB(m, ohw, patch, w16.data(), patch, cols.data(),
+                          patch, ref.data(), ohw, wq.bits, acts.bits);
+        for (size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(ref[i], acc[ni * ref.size() + i])
+                << conv->describe() << " bits=" << bits
+                << " image=" << ni << " i=" << i;
+    }
+}
 
-    auto tables = [](const serve::ExecutionPlan &p) {
-        std::vector<const void *> out;
-        for (size_t i = 0; i < p.numScratch(); ++i) {
-            const IntGemmScratch &ig =
-                p.scratchAt(static_cast<int>(i)).ig;
-            if (ig.gather)
-                out.push_back(ig.gather.get());
+/** Convs of ragged geometry on the channel-last operand path: the
+ * stem (C = 3, so the tap-major k-groups of 4 straddle taps), a
+ * network-level SBN+ReLU+quantize producer feeding a stride-2 3x3
+ * conv, and a block whose stride-2 3x3 conv and 1x1 p0 projection
+ * both read one p1-padded producer buffer — over odd H/W at batch 1
+ * and 3. At every candidate, with dynamic and calibrated ranges, the
+ * plan's logits equal the per-layer loop's, and every conv's traced
+ * NCHW codes and accumulators agree between plan and loop and with
+ * plain gemm::igemmTransB. */
+TEST(ExecutionPlan, RaggedConvGeometriesMatchLoopAndIgemm)
+{
+    Rng rng(52);
+    Network net(PrecisionSet::rps4to16());
+    int banks = net.bnBanks();
+    net.add(std::make_unique<Conv2d>(3, 8, 3, 1, 1, false, rng));
+    net.add(std::make_unique<SwitchableBatchNorm2d>(8, banks));
+    net.add(std::make_unique<ReLU>());
+    net.add(std::make_unique<ActQuant>());
+    net.add(std::make_unique<Conv2d>(8, 8, 3, 2, 1, false, rng));
+    net.add(std::make_unique<PreActBlock>(8, 16, 2, banks, rng));
+    net.add(std::make_unique<SwitchableBatchNorm2d>(16, banks));
+    net.add(std::make_unique<ReLU>());
+    net.add(std::make_unique<ActQuant>());
+    net.add(std::make_unique<GlobalAvgPool>());
+    net.add(std::make_unique<Linear>(16, 10, true, rng));
+    std::vector<WeightQuantizedLayer *> layers = net.weightQuantizedLayers();
+    std::vector<Conv2d *> convs;
+    for (WeightQuantizedLayer *l : layers)
+        if (auto *conv = dynamic_cast<Conv2d *>(l))
+            convs.push_back(conv);
+    ASSERT_EQ(convs.size(), 5u);
+
+    for (int batch : {1, 3}) {
+        Rng xr(60 + batch);
+        Tensor x = Tensor::uniform({batch, 3, 13, 9}, xr, 0.0f, 1.0f);
+        RpsEngine engine(net);
+        std::unique_ptr<serve::ExecutionPlan> plan = net.compile(
+            net.precisionSet(), serve::PlanMode::Quantized, x.shape());
+        for (bool calibrated : {false, true}) {
+            if (calibrated) {
+                Calibrator cal(net);
+                cal.calibrate({x});
+            }
+            for (int bits : net.precisionSet().bits()) {
+                SCOPED_TRACE("batch=" + std::to_string(batch) +
+                             (calibrated ? " static" : " dynamic"));
+                for (WeightQuantizedLayer *l : layers) {
+                    l->setQuantTrace(false);
+                    l->setQuantTrace(true);
+                }
+                engine.setPrecision(bits);
+                Tensor y_plan = plan->run(x);
+                std::vector<std::vector<int64_t>> plan_acc;
+                std::vector<std::vector<int32_t>> plan_codes;
+                for (Conv2d *conv : convs) {
+                    expectTracedConvMatchesIgemm(conv, bits);
+                    plan_acc.push_back(conv->tracedAccumulators());
+                    plan_codes.push_back(conv->tracedActCodes().codes);
+                }
+
+                Tensor y_loop = net.forwardQuantized(x);
+                expectBitIdentical(y_loop, y_plan, bits);
+                for (size_t i = 0; i < convs.size(); ++i) {
+                    expectTracedConvMatchesIgemm(convs[i], bits);
+                    EXPECT_EQ(plan_codes[i],
+                              convs[i]->tracedActCodes().codes)
+                        << convs[i]->describe() << " bits=" << bits;
+                    EXPECT_EQ(plan_acc[i], convs[i]->tracedAccumulators())
+                        << convs[i]->describe() << " bits=" << bits;
+                }
+            }
         }
-        return out;
-    };
-    std::vector<const void *> ta = tables(*a);
-    std::vector<const void *> tb = tables(*b);
-    ASSERT_FALSE(ta.empty()) << "no conv step built a gather table";
-    ASSERT_EQ(ta.size(), tb.size());
-    // Same geometry, same scratch order: replica B's conv steps must
-    // point at replica A's tables, not private copies.
-    EXPECT_EQ(ta, tb);
+        for (WeightQuantizedLayer *l : layers)
+            l->setQuantTrace(false);
+    }
 }
 
 /** A session over a caller-owned net and shared engine, serving
