@@ -137,9 +137,9 @@ main()
               << "  weight_scalars=" << weight_scalars
               << "  cache=" << engine.cacheBytes() << " bytes\n";
 
-    // Shared warm-up: install every candidate once (materializing the
-    // lazily built float views) and touch both forward paths, so no
-    // timed section below pays first-touch cache builds.
+    // Shared warm-up: install every candidate once (building each
+    // cell's tile pack on first install) and touch both forward paths,
+    // so no timed section below pays first-touch cache builds.
     for (int bits : set.bits()) {
         engine.setPrecision(bits);
         net.forward(x, false);

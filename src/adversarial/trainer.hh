@@ -67,8 +67,10 @@ struct TrainConfig
      * cache, refreshed per optimizer step via per-layer dirty flags
      * (Parameter::version), so every iteration's switch is a cache
      * install instead of a re-quantization pass. Bit-identical to the
-     * uncached path — the cache stores exactly what fakeQuantSymmetric
-     * would produce — so training trajectories do not change.
+     * uncached path — the cached codes dequantize to exactly what
+     * fakeQuantSymmetric would produce, and the backward derives the
+     * same STE mask from the forward's grid — so training trajectories
+     * do not change.
      */
     bool cachedEngine = true;
     uint64_t seed = 1;

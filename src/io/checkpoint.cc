@@ -29,32 +29,6 @@ constexpr const char *kTagCell = "CELL";
 constexpr const char *kTagPack = "PACK";
 constexpr const char *kTagTuning = "TUNE";
 
-/** Pack a 0/1 float mask into bits (8 elements per byte). */
-std::vector<char>
-packMask(const Tensor &mask)
-{
-    std::vector<char> out((mask.size() + 7) / 8, 0);
-    for (size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] != 0.0f)
-            out[i >> 3] |= static_cast<char>(1 << (i & 7));
-    }
-    return out;
-}
-
-/** Unpack a bit mask into a 0/1 float tensor of @p shape. */
-Tensor
-unpackMask(const std::vector<char> &bytes, const std::vector<int> &shape,
-           size_t count)
-{
-    if (bytes.size() != (count + 7) / 8)
-        throw io::CheckpointError(
-            "corrupt checkpoint: STE mask size mismatch");
-    Tensor mask(shape);
-    for (size_t i = 0; i < count; ++i)
-        mask[i] = (bytes[i >> 3] >> (i & 7)) & 1 ? 1.0f : 0.0f;
-    return mask;
-}
-
 void
 writeStateEntry(io::Writer &w, const StateEntry &e)
 {
@@ -145,7 +119,7 @@ readCodes(io::Reader &r)
     q.codes = r.i32Vec();
     // Rank-0 shapes hold zero elements — seed the product like
     // Reader::tensor does, or a crafted one-code cell would pass
-    // validation and overflow the unpacked mask tensor.
+    // validation with a payload its shape does not cover.
     size_t expect = q.shape.empty() ? 0 : 1;
     for (int d : q.shape) {
         if (d <= 0)
@@ -156,6 +130,18 @@ readCodes(io::Reader &r)
     if (q.codes.size() != expect)
         throw io::CheckpointError("corrupt checkpoint: code payload "
                                   "does not match its shape");
+    return q;
+}
+
+/** A CELL payload: the codes. Cells written while the engine still
+ * stored STE masks end in the bit-packed mask (u8Vec); it is derived
+ * from the codes' grid now, so it is read and dropped. */
+QuantTensor
+readCell(io::Reader &r)
+{
+    QuantTensor q = readCodes(r);
+    if (!r.atEnd())
+        r.u8Vec();
     return q;
 }
 
@@ -268,13 +254,10 @@ save(const std::string &path, Network &net, RpsEngine *engine,
             for (int b : bits) {
                 SectionBuf s = makeSection(
                     kTagCell, static_cast<int32_t>(l), b);
-                // codesFor/steMaskFor bring a stale cell current
-                // first, so the exported cache always matches the
-                // exported master weights.
+                // codesFor brings a stale cell current first, so the
+                // exported cache always matches the exported master
+                // weights.
                 writeCodes(s.w, engine->codesFor(l, b));
-                std::vector<char> packed =
-                    packMask(engine->steMaskFor(l, b));
-                s.w.u8Vec(packed.data(), packed.size());
                 secs.push_back(std::move(s));
             }
         }
@@ -510,11 +493,9 @@ Checkpoint::read(const std::string &path)
             // section is present.
             std::vector<uint8_t> bytes = sr.read(*si);
             io::Reader r(bytes.data(), bytes.size());
-            CacheCell cell;
-            cell.codes = readCodes(r);
-            cell.maskBytes = r.u8Vec();
+            QuantTensor cell = readCell(r);
             requireSectionEnd(r, kTagCell);
-            if (cell.codes.bits != b)
+            if (cell.bits != b)
                 throw io::CheckpointError(
                     "corrupt checkpoint: cell precision does not "
                     "match its directory key");
@@ -643,36 +624,25 @@ Checkpoint::restoreEngineImpl(Network &net, bool consume)
         net.weightQuantizedLayers();
     for (size_t l = 0; l < cells_.size(); ++l) {
         for (size_t p = 0; p < cacheBits_.size(); ++p) {
-            CacheCell &cell = cells_[l][p];
-            if (cell.codes.size() != wlayers[l]->masterWeight().size() ||
-                cell.codes.bits != cacheBits_[p])
+            QuantTensor &cell = cells_[l][p];
+            if (cell.size() != wlayers[l]->masterWeight().size() ||
+                cell.bits != cacheBits_[p])
                 throw io::CheckpointError(
                     "checkpoint cache cell does not match layer " +
                     std::to_string(l));
-            Tensor mask = unpackMask(cell.maskBytes, cell.codes.shape,
-                                     cell.codes.size());
             if (!packs_.empty()) {
                 gemm::PackedIntWeights &pk = packs_[l][p];
-                int m = cell.codes.shape.empty() ? 0
-                                                 : cell.codes.shape[0];
-                int k = m > 0 ? static_cast<int>(cell.codes.size()) / m
-                              : 0;
-                if (pk.m != m || pk.k != k ||
-                    pk.bits != cell.codes.bits)
+                int m = cell.shape.empty() ? 0 : cell.shape[0];
+                int k = m > 0 ? static_cast<int>(cell.size()) / m : 0;
+                if (pk.m != m || pk.k != k || pk.bits != cell.bits)
                     throw io::CheckpointError(
                         "checkpoint pack does not match cache cell "
                         "of layer " +
                         std::to_string(l));
-                engine->importCell(l, p,
-                                   consume ? std::move(cell.codes)
-                                           : cell.codes,
-                                   std::move(mask),
+                engine->importCell(l, p, consume ? std::move(cell) : cell,
                                    consume ? std::move(pk) : pk);
             } else {
-                engine->importCell(l, p,
-                                   consume ? std::move(cell.codes)
-                                           : cell.codes,
-                                   std::move(mask));
+                engine->importCell(l, p, consume ? std::move(cell) : cell);
             }
         }
     }
@@ -726,12 +696,9 @@ StreamingCheckpoint::restoreEngine(
                 return false;
             std::vector<uint8_t> bytes = sr.read(*ci);
             io::Reader r(bytes.data(), bytes.size());
-            QuantTensor codes = readCodes(r);
-            std::vector<char> mask_bytes = r.u8Vec();
+            QuantTensor codes = readCell(r);
             if (!r.atEnd() || codes.bits != bits)
                 return false;
-            out.steMask =
-                unpackMask(mask_bytes, codes.shape, codes.size());
             if (keep->hasPacks_) {
                 const io::SectionInfo *pi = sr.find(
                     kTagPack, static_cast<int32_t>(layer), bits);

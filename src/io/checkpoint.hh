@@ -17,9 +17,9 @@
  *     calibration range banks and the static-scale mode);
  *   - optionally the SGD velocity buffers, so a resumed training run
  *     continues its momentum trajectory bit-identically;
- *   - optionally the RpsEngine weight-code cache (integer codes +
- *     bit-packed STE masks per layer x candidate), so a loaded model
- *     warm-starts its engine without a single quantization pass.
+ *   - optionally the RpsEngine weight-code cache (integer codes per
+ *     layer x candidate), so a loaded model warm-starts its engine
+ *     without a single quantization pass.
  *
  * Format version 2 (little-endian) is *section-directory* framed so
  * readers can hydrate lazily (io/stream.hh):
@@ -45,7 +45,10 @@
  *          count u32
  *   CELL   (flags bit 0; a = layer, b = bits) one engine cache cell:
  *          codes (shape intVec, scale f32, bits i32, signed u8,
- *          codes i32Vec), STE mask bit-packed u8Vec
+ *          codes i32Vec). Artifacts written while the engine stored
+ *          STE masks append the bit-packed mask (u8Vec); readers
+ *          accept and drop it — the mask is derived from the codes'
+ *          grid — and reject any byte beyond it
  *   PACK   (flags bit 2; a = layer, b = bits; requires CBIT) the
  *          cell's tile-packed kernel weights: m/k/bits/tiles/groups8/
  *          groups16 i32 each, p8 u8Vec, p16 i16Vec, rowSum i64Vec,
@@ -195,13 +198,6 @@ class Checkpoint
         bool flag = false;
     };
 
-    /** One serialized engine cache cell. */
-    struct CacheCell
-    {
-        QuantTensor codes;
-        std::vector<char> maskBytes; ///< STE mask, bit-packed
-    };
-
     /** Parse the always-eager sections (ARCH, STAT, MOMN, TUNE) plus
      * the cache *metadata* (CBIT) from @p sr. Cell/pack payloads are
      * left untouched — the eager read() hydrates them next, the
@@ -219,8 +215,9 @@ class Checkpoint
     std::vector<Tensor> momentum_;
     bool hasMomentum_ = false;
     std::vector<int> cacheBits_;
-    /** cells_[layer][precision index in cacheBits_]. */
-    std::vector<std::vector<CacheCell>> cells_;
+    /** cells_[layer][precision index in cacheBits_]: the cells'
+     * codes. */
+    std::vector<std::vector<QuantTensor>> cells_;
     /** packs_[layer][precision index], parallel to cells_; empty when
      * the artifact carries no pack section. */
     std::vector<std::vector<gemm::PackedIntWeights>> packs_;

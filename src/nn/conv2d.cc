@@ -139,18 +139,11 @@ Conv2d::forward(const Tensor &x, bool train)
     int ow = outSize(x.dim(3));
     TWOINONE_ASSERT(oh > 0 && ow > 0, "Conv2d output collapsed to zero");
 
-    // Quantized weights: the RpsEngine-installed cache entry when
-    // present, else a fresh fake-quantization of the masters. A cache
-    // hit keeps a pointer into the engine-owned entry (stable while
-    // installed) instead of copying the weight-sized mask.
-    QuantResult wq_local;
-    const QuantResult &wq = quantizedWeight(quant_.weightBits, wq_local);
-    if (&wq == weightCache()) {
-        steMask_ = &wq.steMask;
-    } else {
-        ownedSteMask_ = wq.steMask;
-        steMask_ = &ownedSteMask_;
-    }
+    // Quantized weights into the layer's buffer: the RpsEngine-
+    // installed codes dequantized, else a fresh fake-quantization of
+    // the masters. The grid is kept for the backward's STE mask.
+    wqBits_ = quant_.weightBits;
+    wqScale_ = quantizedWeight(wqBits_, wq_);
 
     im2colInto(x, oh, ow, cachedCols_);
     cachedInShape_ = x.shape();
@@ -160,7 +153,7 @@ Conv2d::forward(const Tensor &x, bool train)
     // [K, C, R, S] is already contiguous [K, patch]: feed the (cached)
     // quantized buffer to the GEMM directly, no reshape copy.
     Tensor out({n, outChannels_, oh, ow});
-    runFloatGemm(wq.values.data(), n, oh, ow, cachedCols_, out);
+    runFloatGemm(wq_.data(), n, oh, ow, cachedCols_, out);
     return out;
 }
 
@@ -189,8 +182,8 @@ Conv2d::runFloatGemm(const float *w2d, int n, int oh, int ow,
 }
 
 void
-Conv2d::inferFloatInto(const Tensor &x, QuantResult &wq_scratch,
-                       Tensor &cols, Tensor &out)
+Conv2d::inferFloatInto(const Tensor &x, Tensor &wq_scratch, Tensor &cols,
+                       Tensor &out)
 {
     TWOINONE_ASSERT(x.ndim() == 4 && x.dim(1) == inChannels_,
                     "Conv2d input shape mismatch");
@@ -202,13 +195,10 @@ Conv2d::inferFloatInto(const Tensor &x, QuantResult &wq_scratch,
     // At full precision the masters feed the GEMM directly (the
     // fake-quant identity pass would only copy them); at quantized
     // precisions the same cache/requantize dispatch as forward().
-    const float *w2d;
-    if (quant_.weightBits <= 0) {
-        w2d = weight_.value.data();
-    } else {
-        const QuantResult &wq =
-            quantizedWeight(quant_.weightBits, wq_scratch);
-        w2d = wq.values.data();
+    const float *w2d = weight_.value.data();
+    if (quant_.weightBits > 0) {
+        quantizedWeight(quant_.weightBits, wq_scratch);
+        w2d = wq_scratch.data();
     }
     im2colInto(x, oh, ow, cols);
     out.ensure({n, outChannels_, oh, ow});
@@ -440,21 +430,9 @@ Conv2d::backward(const Tensor &grad_out)
                     cols_n, patch, dwBuf_.data(), patch,
                     /*accumulate=*/ni > 0);
     }
-    // STE: gradients flow to master weights where quantization did not
-    // clip.
-    {
-        TWOINONE_ASSERT(steMask_ != nullptr,
-                        "Conv2d backward before forward");
-        float *wgrad = weight_.grad.data();
-        const float *dw = dwBuf_.data();
-        const float *mask = steMask_->data();
-        ThreadPool::global().parallelFor(
-            0, static_cast<int64_t>(weight_.grad.size()), 1 << 15,
-            [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i)
-                    wgrad[i] += dw[i] * mask[i];
-            });
-    }
+    // STE: gradients flow to master weights where the forward's
+    // quantization did not clip.
+    accumulateSteGrad(dwBuf_.data(), wqBits_, wqScale_, weight_.grad);
 
     if (hasBias_) {
         // Per-channel reduction straight off the NCHW slabs; each
@@ -478,9 +456,8 @@ Conv2d::backward(const Tensor &grad_out)
 
     // Input gradient: dcols_n[OH*OW, patch] = grad_n[K, OH*OW]^T *
     // Wq[K, patch]; then col2im. Per-image outputs are disjoint.
-    QuantResult wq_local;
-    const QuantResult &wq = quantizedWeight(quant_.weightBits, wq_local);
-    const float *w2d = wq.values.data();
+    quantizedWeight(quant_.weightBits, wq_);
+    const float *w2d = wq_.data();
     dcolsBuf_.ensure({n * ohw, patch});
     ThreadPool::global().parallelFor(0, n, 1, [&](int64_t nlo,
                                                   int64_t nhi) {
@@ -511,17 +488,6 @@ void
 Conv2d::collectWeightQuantized(std::vector<WeightQuantizedLayer *> &out)
 {
     out.push_back(this);
-}
-
-void
-Conv2d::setWeightCache(const QuantResult *cache)
-{
-    // Clearing the cache may precede freeing its storage; drop the
-    // mask pointer into it so a stale backward fails fast instead of
-    // reading freed memory. A mask owned by the layer stays valid.
-    if (cache == nullptr && steMask_ != &ownedSteMask_)
-        steMask_ = nullptr;
-    WeightQuantizedLayer::setWeightCache(cache);
 }
 
 std::string

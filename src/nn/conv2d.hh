@@ -59,13 +59,13 @@ class Conv2d : public Layer, public WeightQuantizedLayer
      * by construction. */
     /** @{ */
     /**
-     * Float inference forward into caller-owned buffers: weights from
-     * the installed cache / a fresh fake-quantization into
-     * @p wq_scratch (the masters directly at full precision), im2col
-     * into @p cols, fused GEMM+bias into @p out.
+     * Float inference forward into caller-owned buffers: weights
+     * dequantized from the installed codes / freshly fake-quantized
+     * into @p wq_scratch (the masters directly at full precision),
+     * im2col into @p cols, fused GEMM+bias into @p out.
      */
-    void inferFloatInto(const Tensor &x, QuantResult &wq_scratch,
-                        Tensor &cols, Tensor &out);
+    void inferFloatInto(const Tensor &x, Tensor &wq_scratch, Tensor &cols,
+                        Tensor &out);
     /** Whether the integer datapath can consume these input codes at
      * the active weight precision. */
     bool intPathEligible(const QuantTensor &xq) const;
@@ -93,7 +93,6 @@ class Conv2d : public Layer, public WeightQuantizedLayer
     {
         return weight_.version;
     }
-    void setWeightCache(const QuantResult *cache) override;
 
     /** Weight tensor shape [K, C, R, S]. */
     Parameter &weight() { return weight_; }
@@ -122,13 +121,12 @@ class Conv2d : public Layer, public WeightQuantizedLayer
 
     // Forward caches for backward. cachedCols_/dcolsBuf_/dwBuf_ are
     // reused across iterations (Tensor::ensure) instead of being
-    // reallocated every step. steMask_ points at the engine-owned
-    // cache entry when one is installed (stable while installed) and
-    // at ownedSteMask_ on the uncached path — no weight-sized mask
-    // copy per cached forward.
+    // reallocated every step. The forward's weight grid (wqBits_,
+    // wqScale_) and the masters determine the backward's STE mask.
     Tensor cachedCols_;    // im2col matrix [N*OH*OW, C*R*S]
-    const Tensor *steMask_ = nullptr; // STE mask of quantized weights
-    Tensor ownedSteMask_;  // mask storage for the uncached path
+    Tensor wq_;            // quantized weights of the last fwd/bwd
+    int wqBits_ = 0;
+    float wqScale_ = 0.0f;
     Tensor dcolsBuf_;      // input-gradient columns [N*OH*OW, C*R*S]
     Tensor dwBuf_;         // weight-gradient GEMM output [K, C*R*S]
     std::vector<int> cachedInShape_;

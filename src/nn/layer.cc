@@ -5,24 +5,48 @@
 
 #include "nn/layer.hh"
 
+#include <limits>
+
+#include "common/thread_pool.hh"
+
 namespace twoinone {
 
-const QuantResult &
-WeightQuantizedLayer::quantizedWeight(int bits, QuantResult &local) const
+float
+WeightQuantizedLayer::quantizedWeight(int bits, Tensor &out) const
 {
-    // The installed entry only serves its own precision; a direct
+    // The installed codes only serve their own precision; a direct
     // Network::setPrecision to some other width (e.g. EPGD cycling
     // precisions mid-attack) falls back to re-quantizing the masters,
     // which is always correct, just uncached.
-    if (weightCache_ && weightCache_->bits == bits) {
-        if (bits > 0)
-            cacheHits_.fetch_add(1, std::memory_order_relaxed);
-        return *weightCache_;
+    if (weightCodes_ && weightCodes_->bits == bits) {
+        cacheHits_.fetch_add(1, std::memory_order_relaxed);
+        weightCodes_->dequantizeInto(out);
+        return weightCodes_->scale;
     }
     if (bits > 0)
         cacheMisses_.fetch_add(1, std::memory_order_relaxed);
-    local = LinearQuantizer::fakeQuantSymmetric(masterWeight(), bits);
-    return local;
+    QuantResult r = LinearQuantizer::fakeQuantSymmetric(masterWeight(), bits);
+    out = std::move(r.values);
+    return r.scale;
+}
+
+void
+WeightQuantizedLayer::accumulateSteGrad(const float *dw, int bits,
+                                        float scale, Tensor &grad) const
+{
+    float *g = grad.data();
+    const float *w = masterWeight().data();
+    // Full precision clips nothing: an infinite grid bound keeps every
+    // mask entry 1, whatever the scale.
+    const float qmax =
+        bits > 0 ? static_cast<float>(LinearQuantizer::signedQmax(bits))
+                 : std::numeric_limits<float>::infinity();
+    ThreadPool::global().parallelFor(
+        0, static_cast<int64_t>(grad.size()), 1 << 15,
+        [=](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i)
+                g[i] += dw[i] * steMaskSigned(w[i], scale, qmax);
+        });
 }
 
 const QuantTensor &

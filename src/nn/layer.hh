@@ -190,9 +190,9 @@ struct QuantAct
 /**
  * Interface of layers that fake-quantize a weight tensor (Conv2d,
  * Linear). RpsEngine discovers these through
- * Layer::collectWeightQuantized and installs pre-quantized weights so
- * a precision switch becomes a cache install instead of a
- * re-quantization pass over the master weights.
+ * Layer::collectWeightQuantized and installs pre-quantized weight
+ * codes (and their tile pack) so a precision switch becomes a cache
+ * install instead of a re-quantization pass over the master weights.
  */
 class WeightQuantizedLayer
 {
@@ -207,29 +207,14 @@ class WeightQuantizedLayer
     virtual uint64_t masterWeightVersion() const = 0;
 
     /**
-     * Install an externally owned pre-quantized weight entry, or
-     * clear it with nullptr. While installed and matching the
-     * layer's active weightBits, forward/backward use the cached
-     * values/mask instead of re-running fakeQuantSymmetric; at any
-     * other active precision the layer falls back to re-quantizing
-     * the masters. The pointee must stay valid and in sync with the
-     * master weights while installed. Layers override to also drop
-     * state that points into the entry when it is cleared (the
-     * storage may be about to be freed).
-     */
-    virtual void setWeightCache(const QuantResult *cache)
-    {
-        weightCache_ = cache;
-    }
-
-    /** The installed cache entry (nullptr when none). */
-    const QuantResult *weightCache() const { return weightCache_; }
-
-    /**
-     * Install the canonical integer weight codes alongside the float
-     * entry (or clear with nullptr). forwardQuantized consumes these
-     * directly; the same lifetime/sync contract as setWeightCache
-     * applies.
+     * Install externally owned canonical integer weight codes, or
+     * clear them with nullptr. While installed and matching the
+     * layer's active weightBits, forwardQuantized consumes them
+     * directly and the float forward/backward dequantize them instead
+     * of re-running fakeQuantSymmetric; at any other active precision
+     * the layer falls back to re-quantizing the masters. The pointee
+     * must stay valid and in sync with the master weights while
+     * installed; nothing points into it once it is cleared.
      */
     void setWeightCodes(const QuantTensor *codes) { weightCodes_ = codes; }
 
@@ -242,7 +227,7 @@ class WeightQuantizedLayer
      * precision, the integer forward skips its local scratch repack
      * and feeds the packed SIMD kernels directly — the pack is built
      * once per (layer, precision) by RpsEngine. Same lifetime/sync
-     * contract as setWeightCache.
+     * contract as setWeightCodes.
      */
     void setWeightPacked(const gemm::PackedIntWeights *packed)
     {
@@ -308,12 +293,25 @@ class WeightQuantizedLayer
 
   protected:
     /**
-     * The quantized weights to run on: the installed cache entry when
-     * present (after checking its precision against @p bits), else a
-     * fresh fake-quantization of the master weights stored in
-     * @p local.
+     * The float weights to run on at @p bits, written into the
+     * caller-owned @p out: the installed codes dequantized when they
+     * match @p bits, else LinearQuantizer::fakeQuantSymmetric of the
+     * masters (bit-identical values; the masters themselves at
+     * @p bits <= 0). Returns the grid scale, which the backward hands
+     * to accumulateSteGrad.
      */
-    const QuantResult &quantizedWeight(int bits, QuantResult &local) const;
+    float quantizedWeight(int bits, Tensor &out) const;
+
+    /**
+     * The STE weight-gradient update: @p grad[i] += @p dw[i] * mask[i]
+     * over the masters, where mask[i] = steMaskSigned(master[i],
+     * @p scale, qmax) is the STE mask of the (@p bits, @p scale) grid
+     * the forward ran on (all ones at @p bits <= 0) — the mask
+     * fakeQuantSymmetric returns for the same weights, NaN and
+     * subnormal scales included.
+     */
+    void accumulateSteGrad(const float *dw, int bits, float scale,
+                           Tensor &grad) const;
 
     /**
      * The integer weight codes to run on: the installed codes when
@@ -339,7 +337,6 @@ class WeightQuantizedLayer
     std::vector<int64_t> tracedAcc_;
 
   private:
-    const QuantResult *weightCache_ = nullptr;
     const QuantTensor *weightCodes_ = nullptr;
     const gemm::PackedIntWeights *weightPacked_ = nullptr;
     mutable std::atomic<uint64_t> cacheHits_{0};

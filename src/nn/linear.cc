@@ -31,17 +31,12 @@ Linear::forward(const Tensor &x, bool train)
     (void)train;
     TWOINONE_ASSERT(x.ndim() == 2 && x.dim(1) == inFeatures_,
                     "Linear input shape mismatch");
-    QuantResult wq_local;
-    const QuantResult &wq = quantizedWeight(quant_.weightBits, wq_local);
-    if (&wq == weightCache()) {
-        steMask_ = &wq.steMask;
-    } else {
-        ownedSteMask_ = wq.steMask;
-        steMask_ = &ownedSteMask_;
-    }
+    // The grid is kept for the backward's STE mask (see Conv2d).
+    wqBits_ = quant_.weightBits;
+    wqScale_ = quantizedWeight(wqBits_, wq_);
     cachedInput_ = x;
 
-    Tensor out = ops::matmulTransposeB(x, wq.values);
+    Tensor out = ops::matmulTransposeB(x, wq_);
     if (hasBias_)
         addBiasRows(out);
     return out;
@@ -66,8 +61,7 @@ Linear::addBiasRows(Tensor &out) const
 }
 
 void
-Linear::inferFloatInto(const Tensor &x, QuantResult &wq_scratch,
-                       Tensor &out)
+Linear::inferFloatInto(const Tensor &x, Tensor &wq_scratch, Tensor &out)
 {
     TWOINONE_ASSERT(x.ndim() == 2 && x.dim(1) == inFeatures_,
                     "Linear input shape mismatch");
@@ -77,9 +71,8 @@ Linear::inferFloatInto(const Tensor &x, QuantResult &wq_scratch,
     if (quant_.weightBits <= 0) {
         ops::matmulTransposeBInto(x, weight_.value, out);
     } else {
-        const QuantResult &wq =
-            quantizedWeight(quant_.weightBits, wq_scratch);
-        ops::matmulTransposeBInto(x, wq.values, out);
+        quantizedWeight(quant_.weightBits, wq_scratch);
+        ops::matmulTransposeBInto(x, wq_scratch, out);
     }
     if (hasBias_)
         addBiasRows(out);
@@ -187,11 +180,8 @@ Linear::backward(const Tensor &grad_out)
                     "Linear grad_out shape mismatch");
 
     // dW = grad_out^T x input, masked by the STE.
-    TWOINONE_ASSERT(steMask_ != nullptr, "Linear backward before forward");
-    const Tensor &mask = *steMask_;
     Tensor dw = ops::matmulTransposeA(grad_out, cachedInput_);
-    for (size_t i = 0; i < weight_.grad.size(); ++i)
-        weight_.grad[i] += dw[i] * mask[i];
+    accumulateSteGrad(dw.data(), wqBits_, wqScale_, weight_.grad);
 
     if (hasBias_) {
         int n = grad_out.dim(0);
@@ -203,9 +193,8 @@ Linear::backward(const Tensor &grad_out)
         }
     }
 
-    QuantResult wq_local;
-    const QuantResult &wq = quantizedWeight(quant_.weightBits, wq_local);
-    return ops::matmul(grad_out, wq.values);
+    quantizedWeight(quant_.weightBits, wq_);
+    return ops::matmul(grad_out, wq_);
 }
 
 void
@@ -220,16 +209,6 @@ void
 Linear::collectWeightQuantized(std::vector<WeightQuantizedLayer *> &out)
 {
     out.push_back(this);
-}
-
-void
-Linear::setWeightCache(const QuantResult *cache)
-{
-    // See Conv2d::setWeightCache: fail fast on a stale backward
-    // instead of dangling into freed cache storage.
-    if (cache == nullptr && steMask_ != &ownedSteMask_)
-        steMask_ = nullptr;
-    WeightQuantizedLayer::setWeightCache(cache);
 }
 
 std::string

@@ -46,10 +46,9 @@ class Linear : public Layer, public WeightQuantizedLayer
      * by construction. */
     /** @{ */
     /** Float inference forward into a caller-owned buffer (weights
-     * from the installed cache / a fresh fake-quantization into
-     * @p wq_scratch; the masters directly at full precision). */
-    void inferFloatInto(const Tensor &x, QuantResult &wq_scratch,
-                        Tensor &out);
+     * dequantized from the installed codes / freshly fake-quantized
+     * into @p wq_scratch; the masters directly at full precision). */
+    void inferFloatInto(const Tensor &x, Tensor &wq_scratch, Tensor &out);
     /** Wide integer inference forward: packed igemm + fused
      * dequant/bias into @p out, accumulating through @p s (weights
      * packed as in Conv2d::inferQuantInto, locally into @p ps). */
@@ -69,7 +68,6 @@ class Linear : public Layer, public WeightQuantizedLayer
     {
         return weight_.version;
     }
-    void setWeightCache(const QuantResult *cache) override;
 
     Parameter &weight() { return weight_; }
     Parameter &bias() { return bias_; }
@@ -85,10 +83,11 @@ class Linear : public Layer, public WeightQuantizedLayer
     Parameter bias_;   // [out]
 
     Tensor cachedInput_;
-    // STE mask for backward: points at the engine-owned cache entry
-    // when installed, else at ownedSteMask_ (see Conv2d).
-    const Tensor *steMask_ = nullptr;
-    Tensor ownedSteMask_;
+    // Quantized weights of the last forward/backward, and the
+    // forward's grid for the backward's STE mask (see Conv2d).
+    Tensor wq_;
+    int wqBits_ = 0;
+    float wqScale_ = 0.0f;
     // Integer-path scratch for the per-layer loop (plans share one
     // operand block and keep a PackScratch per step).
     IntGemmScratch iscratch_;

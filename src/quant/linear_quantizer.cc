@@ -6,6 +6,13 @@
  * parallel, bit-identical to serial); the grid pass writes disjoint
  * elements on parallelFor. TWOINONE_BACKEND=naive keeps both passes
  * serial, mirroring the gemm reference path.
+ *
+ * The grid passes are the reference the QuantTensor snap helpers
+ * (snapSigned/snapUnsigned, steMask*) are tested against, so they
+ * keep their own expressions; only their form is tuned. Each clamp is
+ * a select over by-value locals, so the loops vectorize. A NaN input
+ * keeps value NaN and STE mask 1 (every comparison with it is false),
+ * and -0.0 stays -0.0.
  */
 
 #include "quant/linear_quantizer.hh"
@@ -69,23 +76,23 @@ LinearQuantizer::fakeQuantSymmetric(const Tensor &x, int bits)
         return r;
     }
 
-    int qmax = signedQmax(bits);
-    float scale = max_abs / static_cast<float>(qmax);
+    const float fq = static_cast<float>(signedQmax(bits));
+    const float scale = max_abs / fq;
     r.scale = scale;
     const float *in = x.data();
     float *values = r.values.data();
     float *mask = r.steMask.data();
-    quantPass(static_cast<int64_t>(x.size()), [&](int64_t lo, int64_t hi) {
+    quantPass(static_cast<int64_t>(x.size()), [=](int64_t lo, int64_t hi) {
+        // One loop per output, as in unsignedGridPass.
         for (int64_t i = lo; i < hi; ++i) {
             float q = std::nearbyint(in[i] / scale);
-            if (q > qmax) {
-                q = static_cast<float>(qmax);
-                mask[i] = 0.0f;
-            } else if (q < -qmax) {
-                q = static_cast<float>(-qmax);
-                mask[i] = 0.0f;
-            }
+            q = q > fq ? fq : q;
+            q = q < -fq ? -fq : q;
             values[i] = q * scale;
+        }
+        for (int64_t i = lo; i < hi; ++i) {
+            float q = std::nearbyint(in[i] / scale);
+            mask[i] = (q > fq) | (q < -fq) ? 0.0f : 1.0f;
         }
     });
     return r;
@@ -110,22 +117,23 @@ void
 unsignedGridPass(const float *in, size_t n, int qmax, float scale,
                  float *values, float *mask)
 {
+    const float fq = static_cast<float>(qmax);
     ops::gatedParallelFor(
         static_cast<int64_t>(n), kQuantGrain,
-        [&](int64_t lo, int64_t hi) {
+        [=](int64_t lo, int64_t hi) {
+            // One loop per output keeps each branch-free (the snap is
+            // recomputed, not stored), so both vectorize.
             for (int64_t i = lo; i < hi; ++i) {
                 float q = std::nearbyint(in[i] / scale);
-                if (q < 0.0f) {
-                    q = 0.0f;
-                    if (mask)
-                        mask[i] = 0.0f;
-                } else if (q > qmax) {
-                    q = static_cast<float>(qmax);
-                    if (mask)
-                        mask[i] = 0.0f;
-                }
+                q = q < 0.0f ? 0.0f : q;
+                q = q > fq ? fq : q;
                 values[i] = q * scale;
             }
+            if (mask)
+                for (int64_t i = lo; i < hi; ++i) {
+                    float q = std::nearbyint(in[i] / scale);
+                    mask[i] = (q < 0.0f) | (q > fq) ? 0.0f : 1.0f;
+                }
         });
 }
 
@@ -200,12 +208,15 @@ LinearQuantizer::quantizeToIntSymmetric(const Tensor &x, int bits,
     if (scale == 0.0f)
         return codes;
     const float *in = x.data();
-    quantPass(static_cast<int64_t>(x.size()), [&](int64_t lo, int64_t hi) {
+    int32_t *out = codes.data();
+    const float fq = static_cast<float>(qmax);
+    quantPass(static_cast<int64_t>(x.size()), [=](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
+            // std::min(fq, std::max(-fq, q)) as selects: NaN -> -qmax.
             float q = std::nearbyint(in[i] / scale);
-            q = std::min(static_cast<float>(qmax),
-                         std::max(static_cast<float>(-qmax), q));
-            codes[static_cast<size_t>(i)] = static_cast<int32_t>(q);
+            q = -fq < q ? q : -fq;
+            q = q < fq ? q : fq;
+            out[i] = static_cast<int32_t>(q);
         }
     });
     return codes;

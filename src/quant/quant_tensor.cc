@@ -36,18 +36,16 @@ QuantTensor::qmax() const
 }
 
 QuantTensor
-QuantTensor::quantizeSymmetric(const Tensor &x, int bits,
-                               Tensor *ste_mask_out, Tensor *values_out)
+QuantTensor::quantizeSymmetric(const Tensor &x, int bits)
 {
     QuantTensor q;
-    quantizeSymmetricInto(x, bits, q, ste_mask_out, values_out);
+    quantizeSymmetricInto(x, bits, q);
     return q;
 }
 
 void
 QuantTensor::quantizeSymmetricInto(const Tensor &x, int bits,
-                                   QuantTensor &q, Tensor *ste_mask_out,
-                                   Tensor *values_out)
+                                   QuantTensor &q)
 {
     TWOINONE_ASSERT(bits >= 1, "quantizeSymmetric bits=", bits);
     q.shape = x.shape();
@@ -55,45 +53,24 @@ QuantTensor::quantizeSymmetricInto(const Tensor &x, int bits,
     q.bits = bits;
     q.isSigned = true;
 
-    if (ste_mask_out) {
-        ste_mask_out->ensure(x.shape());
-        ste_mask_out->fill(1.0f);
-    }
-
     float max_abs = ops::maxAbs(x);
     if (max_abs == 0.0f) {
         q.scale = 0.0f;
         std::fill(q.codes.begin(), q.codes.end(), 0);
-        if (values_out) {
-            values_out->ensure(x.shape());
-            values_out->fill(0.0f);
-        }
         return;
     }
     int qmax = LinearQuantizer::signedQmax(bits);
     float scale = max_abs / static_cast<float>(qmax);
     q.scale = scale;
 
-    if (values_out)
-        values_out->ensure(x.shape());
     const float *in = x.data();
     int32_t *codes = q.codes.data();
-    float *mask = ste_mask_out ? ste_mask_out->data() : nullptr;
-    float *values = values_out ? values_out->data() : nullptr;
     const float fq = static_cast<float>(qmax);
     ops::gatedParallelFor(
         static_cast<int64_t>(x.size()), kQuantGrain,
         [=](int64_t lo, int64_t hi) {
-            // One pass per output keeps each loop branch-free, so all
-            // three vectorize (the snap is recomputed, not stored).
             for (int64_t i = lo; i < hi; ++i)
                 codes[i] = static_cast<int32_t>(snapSigned(in[i], scale, fq));
-            if (values)
-                for (int64_t i = lo; i < hi; ++i)
-                    values[i] = snapSigned(in[i], scale, fq) * scale;
-            if (mask)
-                for (int64_t i = lo; i < hi; ++i)
-                    mask[i] = steMaskSigned(in[i], scale, fq);
         });
 }
 

@@ -7,10 +7,10 @@
  * *view* of this representation: value[i] == float(code[i]) * scale,
  * exactly (codes are small integers, exactly representable in float,
  * and the product is the same single rounding fakeQuant* performs).
- * RpsEngine therefore caches QuantTensors as the source of truth and
- * materializes the float view lazily; the bit-serial datapath
- * simulator (accel/array_sim) consumes the codes directly, with no
- * float-to-int re-pass anywhere.
+ * RpsEngine therefore caches only QuantTensors (plus their tile
+ * packs); layers dequantize the float view where they read it, and
+ * the bit-serial datapath simulator (accel/array_sim) consumes the
+ * codes directly, with no float-to-int re-pass anywhere.
  *
  * Two grids, matching LinearQuantizer:
  *  - symmetric signed (weights): codes in [-qmax, qmax],
@@ -108,22 +108,16 @@ struct QuantTensor
      * Quantize onto the symmetric signed grid (weights), scale from
      * the tensor's own max|x|. Codes reproduce
      * LinearQuantizer::fakeQuantSymmetric exactly: dequantize() is
-     * bit-identical to its values, @p ste_mask_out (when non-null)
-     * receives the identical STE mask, and @p values_out (when
-     * non-null) receives the dequantized grid values fused into the
-     * same pass (what a separate dequantize() would produce).
+     * bit-identical to its values, and steMaskSigned(x[i], scale,
+     * qmax()) to its STE mask.
      */
-    static QuantTensor quantizeSymmetric(const Tensor &x, int bits,
-                                         Tensor *ste_mask_out = nullptr,
-                                         Tensor *values_out = nullptr);
+    static QuantTensor quantizeSymmetric(const Tensor &x, int bits);
 
     /** quantizeSymmetric into a caller-owned QuantTensor, reusing its
      * code storage — the allocation-free form the RpsEngine cache
      * rebuilds run on. The allocating overload wraps it. */
     static void quantizeSymmetricInto(const Tensor &x, int bits,
-                                      QuantTensor &out,
-                                      Tensor *ste_mask_out = nullptr,
-                                      Tensor *values_out = nullptr);
+                                      QuantTensor &out);
 
     /**
      * Quantize onto the unsigned grid (activations) with an explicit

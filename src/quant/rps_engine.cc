@@ -5,6 +5,10 @@
 
 #include "quant/rps_engine.hh"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/thread_pool.hh"
 
 namespace twoinone {
@@ -68,16 +72,10 @@ RpsEngine::tryHydrate(size_t layer, size_t prec)
     // Defensive geometry check: a malformed (but parseable) cell must
     // fall back to a rebuild, not corrupt the install.
     if (h.codes.bits != cacheSet_.bits()[prec] ||
-        h.codes.size() != layers_[layer]->masterWeight().size() ||
-        h.steMask.size() != h.codes.size())
+        h.codes.size() != layers_[layer]->masterWeight().size())
         return false;
     CacheEntry &e = cache_[layer][prec];
     e.codes = std::move(h.codes);
-    e.floats.steMask = std::move(h.steMask);
-    e.floats.values = Tensor();
-    e.floats.scale = e.codes.scale;
-    e.floats.bits = e.codes.bits;
-    e.floatsReady = false;
     // A persisted pack in another layout than the layer reads (e.g.
     // a conv pack from before tap-major packing) is never installed:
     // the cell repacks on first install instead.
@@ -94,13 +92,12 @@ RpsEngine::tryHydrate(size_t layer, size_t prec)
 }
 
 void
-RpsEngine::ensureCell(size_t layer, size_t prec, bool want_floats)
+RpsEngine::ensureCell(size_t layer, size_t prec)
 {
-    CacheEntry &e = cache_[layer][prec];
-    if (!e.built)
+    if (!cache_[layer][prec].built)
         tryHydrate(layer, prec);
     if (cellStale(layer, prec))
-        rebuildCell(layer, prec, want_floats);
+        rebuildCell(layer, prec);
 }
 
 void
@@ -112,19 +109,11 @@ RpsEngine::packEntry(size_t layer, CacheEntry &e)
 }
 
 void
-RpsEngine::rebuildCell(size_t layer, size_t prec, bool want_floats)
+RpsEngine::rebuildCell(size_t layer, size_t prec)
 {
     CacheEntry &e = cache_[layer][prec];
-    // A live (or demanded) float view is rebuilt in the same fused
-    // pass so installed pointers stay valid AND current; never-used
-    // views stay lazy.
-    bool floats = want_floats || e.floatsReady;
-    QuantTensor::quantizeSymmetricInto(
-        layers_[layer]->masterWeight(), cacheSet_.bits()[prec], e.codes,
-        &e.floats.steMask, floats ? &e.floats.values : nullptr);
-    e.floats.scale = e.codes.scale;
-    e.floats.bits = e.codes.bits;
-    e.floatsReady = floats;
+    QuantTensor::quantizeSymmetricInto(layers_[layer]->masterWeight(),
+                                       cacheSet_.bits()[prec], e.codes);
     if (e.packedReady)
         packEntry(layer, e); // keep installed pack pointers current
     e.built = true;
@@ -146,7 +135,7 @@ RpsEngine::rebuildLayers(const std::vector<size_t> &which)
             for (int64_t t = lo; t < hi; ++t) {
                 size_t l = which[static_cast<size_t>(t / nprec)];
                 size_t p = static_cast<size_t>(t % nprec);
-                rebuildCell(l, p, /*want_floats=*/false);
+                rebuildCell(l, p);
             }
         });
     for (size_t l : which)
@@ -187,7 +176,7 @@ RpsEngine::refreshDirty()
                 for (int64_t l = lo; l < hi; ++l) {
                     size_t ls = static_cast<size_t>(l);
                     if (cellStale(ls, idx))
-                        rebuildCell(ls, idx, /*want_floats=*/true);
+                        rebuildCell(ls, idx);
                 }
             });
     }
@@ -200,33 +189,22 @@ RpsEngine::setPrecision(int bits)
     if (bits == 0 || !cacheSet_.contains(bits)) {
         // Full precision, or a bound-set precision the engine was not
         // asked to cache: run uncached.
-        for (WeightQuantizedLayer *l : layers_) {
-            l->setWeightCache(nullptr);
-            l->setWeightCodes(nullptr);
-            l->setWeightPacked(nullptr);
-        }
-        installedIdx_ = -1;
+        detach();
         net_.setPrecision(bits);
         return;
     }
     size_t idx = static_cast<size_t>(cacheSet_.indexOf(bits));
     // Bring the installed column current: hydrate absent cells from
-    // the streaming artifact when one is attached, re-quantize cells
-    // whose master weights moved (the lazy column rebuild — only the
-    // column being consumed pays), and materialize float views on
-    // first use (codes are the source of truth; float(code) * scale
-    // is exactly the fake-quant grid value).
+    // the streaming artifact when one is attached, and re-quantize
+    // cells whose master weights moved (the lazy column rebuild —
+    // only the column being consumed pays).
     ThreadPool::global().parallelFor(
         0, static_cast<int64_t>(layers_.size()), 1,
         [&](int64_t lo, int64_t hi) {
             for (int64_t l = lo; l < hi; ++l) {
                 size_t ls = static_cast<size_t>(l);
                 CacheEntry &e = cache_[ls][idx];
-                ensureCell(ls, idx, /*want_floats=*/true);
-                if (!e.floatsReady) {
-                    e.codes.dequantizeInto(e.floats.values);
-                    e.floatsReady = true;
-                }
+                ensureCell(ls, idx);
                 // First install of this cell: build the tile-packed
                 // kernel weights (rebuilds keep them current after
                 // this). Packing is a data-layout copy, not a
@@ -239,14 +217,13 @@ RpsEngine::setPrecision(int bits)
     const uint64_t tick = ++useTick_;
     for (size_t l = 0; l < layers_.size(); ++l) {
         cache_[l][idx].lastUse = tick;
-        layers_[l]->setWeightCache(&cache_[l][idx].floats);
         layers_[l]->setWeightCodes(&cache_[l][idx].codes);
         layers_[l]->setWeightPacked(&cache_[l][idx].packed);
     }
     installedIdx_ = static_cast<int>(idx);
     net_.setPrecision(bits);
-    // The install may have materialized a whole column — re-enforce
-    // the byte ceiling now that the column is protected.
+    // The install may have hydrated or packed a whole column —
+    // re-enforce the byte ceiling now that the column is protected.
     evictToBudget();
 }
 
@@ -291,7 +268,6 @@ void
 RpsEngine::detach()
 {
     for (WeightQuantizedLayer *l : layers_) {
-        l->setWeightCache(nullptr);
         l->setWeightCodes(nullptr);
         l->setWeightPacked(nullptr);
     }
@@ -305,26 +281,13 @@ RpsEngine::codesFor(size_t layer, int bits)
     TWOINONE_ASSERT(cacheSet_.contains(bits), "precision ", bits,
                     " not cached");
     size_t p = static_cast<size_t>(cacheSet_.indexOf(bits));
-    ensureCell(layer, p, /*want_floats=*/false);
+    ensureCell(layer, p);
     cache_[layer][p].lastUse = ++useTick_;
     return cache_[layer][p].codes;
 }
 
-const Tensor &
-RpsEngine::steMaskFor(size_t layer, int bits)
-{
-    TWOINONE_ASSERT(layer < cache_.size(), "layer index out of range");
-    TWOINONE_ASSERT(cacheSet_.contains(bits), "precision ", bits,
-                    " not cached");
-    size_t p = static_cast<size_t>(cacheSet_.indexOf(bits));
-    ensureCell(layer, p, /*want_floats=*/false);
-    cache_[layer][p].lastUse = ++useTick_;
-    return cache_[layer][p].floats.steMask;
-}
-
 void
-RpsEngine::importCellImpl(size_t layer, size_t prec, QuantTensor codes,
-                          Tensor ste_mask)
+RpsEngine::importCellImpl(size_t layer, size_t prec, QuantTensor codes)
 {
     TWOINONE_ASSERT(layer < cache_.size() && prec < cacheSet_.size(),
                     "cache cell out of range");
@@ -334,11 +297,6 @@ RpsEngine::importCellImpl(size_t layer, size_t prec, QuantTensor codes,
                     "imported cell size mismatch");
     CacheEntry &e = cache_[layer][prec];
     e.codes = std::move(codes);
-    e.floats.steMask = std::move(ste_mask);
-    e.floats.values = Tensor();
-    e.floats.scale = e.codes.scale;
-    e.floats.bits = e.codes.bits;
-    e.floatsReady = false;
     if (e.packedReady)
         packEntry(layer, e); // keep a live tile pack current
     e.built = true;
@@ -347,16 +305,15 @@ RpsEngine::importCellImpl(size_t layer, size_t prec, QuantTensor codes,
 }
 
 void
-RpsEngine::importCell(size_t layer, size_t prec, QuantTensor codes,
-                      Tensor ste_mask)
+RpsEngine::importCell(size_t layer, size_t prec, QuantTensor codes)
 {
-    importCellImpl(layer, prec, std::move(codes), std::move(ste_mask));
+    importCellImpl(layer, prec, std::move(codes));
     evictToBudget();
 }
 
 void
 RpsEngine::importCell(size_t layer, size_t prec, QuantTensor codes,
-                      Tensor ste_mask, gemm::PackedIntWeights packed)
+                      gemm::PackedIntWeights packed)
 {
     TWOINONE_ASSERT(layer < cache_.size() && prec < cacheSet_.size(),
                     "cache cell out of range");
@@ -365,7 +322,7 @@ RpsEngine::importCell(size_t layer, size_t prec, QuantTensor codes,
     TWOINONE_ASSERT(packed.m == m && packed.k == k &&
                         packed.bits == codes.bits,
                     "imported pack geometry does not match its codes");
-    importCellImpl(layer, prec, std::move(codes), std::move(ste_mask));
+    importCellImpl(layer, prec, std::move(codes));
     // Same layout rule as tryHydrate: a pack in another layout is
     // dropped and rebuilt on first install.
     if (packed.taps == layers_[layer]->packTaps()) {
@@ -383,7 +340,7 @@ RpsEngine::packedFor(size_t layer, int bits)
     TWOINONE_ASSERT(cacheSet_.contains(bits), "precision ", bits,
                     " not cached");
     size_t p = static_cast<size_t>(cacheSet_.indexOf(bits));
-    ensureCell(layer, p, /*want_floats=*/false);
+    ensureCell(layer, p);
     CacheEntry &e = cache_[layer][p];
     e.lastUse = ++useTick_;
     if (!e.packedReady)
@@ -431,12 +388,7 @@ RpsEngine::resetCacheStats()
 size_t
 RpsEngine::cellBytes(const CacheEntry &e)
 {
-    size_t bytes = e.codes.bytes();
-    bytes += e.floats.steMask.size() * sizeof(float);
-    if (e.floatsReady)
-        bytes += e.floats.values.size() * sizeof(float);
-    bytes += e.packed.bytes();
-    return bytes;
+    return e.codes.bytes() + e.packed.bytes();
 }
 
 size_t
@@ -477,6 +429,7 @@ RpsEngine::evictToBudget()
     if (cacheCfg_.budgetBytes == 0)
         return;
     size_t total = cacheBytes();
+    bool evicted = false;
     while (total > cacheCfg_.budgetBytes) {
         // LRU victim among the evictable cells: never the installed
         // column (layers hold live pointers into it) and never a
@@ -500,7 +453,17 @@ RpsEngine::evictToBudget()
         total -= cellBytes(*victim);
         *victim = CacheEntry();
         cacheEvictions_.fetch_add(1, std::memory_order_relaxed);
+        evicted = true;
     }
+#if defined(__GLIBC__)
+    // Cells are built on pool threads, each allocating from its own
+    // malloc arena, and freed here; the allocator keeps those pages
+    // (a cell rebuilt later lands in whichever arena its thread
+    // uses), so resident memory would grow past the budget. Hand the
+    // freed pages back.
+    if (evicted)
+        malloc_trim(0);
+#endif
 }
 
 bool

@@ -3,24 +3,25 @@
  * RpsEngine: the precision-switchable inference engine behind RPS
  * serving (paper Alg. 1, RPS inference).
  *
- * The cache is int-code-first: for every (weight layer, candidate
- * precision) pair the engine stores the canonical QuantTensor —
- * integer grid codes + scale — plus the STE mask, built in one
- * quantization pass over the masters (parallel across layers x
- * precisions on the global thread pool). The float fake-quant view
- * that the float forward consumes is *materialized lazily* from the
- * codes, on the first switch to that precision: value[i] =
- * float(code[i]) * scale, which is bit-identical to what
- * fakeQuantSymmetric would produce, so the cached float forward is
+ * A cache cell — one per (weight layer, candidate precision) pair —
+ * holds exactly two forms of the weights: the canonical QuantTensor
+ * (integer grid codes + scale), built in one quantization pass over
+ * the masters (parallel across layers x precisions on the global
+ * thread pool), and its tile pack for the integer kernels, built on
+ * the cell's first install. Everything else is derived where it is
+ * read: the float forward dequantizes the installed codes
+ * (float(code[i]) * scale, bit-identical to fakeQuantSymmetric's
+ * values) into a buffer the layer owns, and the backward recomputes
+ * the STE mask from the masters and that grid's scale
+ * (steMaskSigned) — so the cached float forward and backward are
  * bit-identical to the uncached re-quantizing path. The same codes
  * feed the integer forward (Network::forwardQuantized) and the
- * bit-serial datapath simulator (accel/array_sim) directly — one
- * switch installs both representations with zero re-quantization.
+ * bit-serial datapath simulator (accel/array_sim) directly.
  *
- * A precision switch is O(#layers): pointer installs of the float
- * entry and the codes into each layer. Entries live in stable
- * storage; refresh() rewrites them in place, so installed pointers
- * remain valid across refreshes.
+ * A precision switch is O(#layers): pointer installs of the codes and
+ * the pack into each layer. Cells live in stable storage; refresh()
+ * rewrites them in place, so installed pointers remain valid across
+ * refreshes.
  *
  * Staleness is tracked per (layer, precision) cell: every cell
  * remembers the master-weight version (Parameter::version) it was
@@ -39,10 +40,8 @@
  * scales (quant/calibration.hh), which makes the cached forward fully
  * quantization-free. Master weights must not change while caches are
  * installed — call refresh()/refreshDirty() after any training step
- * before inferring again. Layers that ran a cached forward keep a
- * pointer into the entry for their backward STE mask, so keep the
- * engine alive until the backward passes that depend on a cached
- * forward have run.
+ * before inferring again. Layers keep nothing of a cell past the
+ * forward that read it, so a backward never depends on the engine.
  */
 
 #ifndef TWOINONE_QUANT_RPS_ENGINE_HH
@@ -129,8 +128,8 @@ class RpsEngine
     /** Number of weight-quantizing layers under cache. */
     size_t numQuantLayers() const { return layers_.size(); }
 
-    /** Total bytes held by the cache: int codes + STE masks + any
-     * materialized float views + any tile-packed kernel buffers. */
+    /** Total bytes held by the cache: int codes + any tile-packed
+     * kernel buffers. */
     size_t cacheBytes() const;
 
     /**
@@ -146,12 +145,11 @@ class RpsEngine
     const EngineCacheConfig &cacheConfig() const { return cacheCfg_; }
 
     /** One lazily hydrated cache cell, produced by a CellHydrator:
-     * the canonical codes + STE mask (and optionally the tile pack),
-     * exactly as importCell would receive them. */
+     * the canonical codes (and optionally the tile pack), exactly as
+     * importCell would receive them. */
     struct HydratedCell
     {
         QuantTensor codes;
-        Tensor steMask;
         gemm::PackedIntWeights packed;
         bool hasPack = false;
     };
@@ -189,8 +187,8 @@ class RpsEngine
     /**
      * Re-quantize every cache entry from the current master weights
      * (parallel across layers x precisions). Installed pointers stay
-     * valid; materialized float views are dropped and rebuilt on the
-     * next switch. Call after weight updates.
+     * valid, and live tile packs are repacked from the fresh codes.
+     * Call after weight updates.
      */
     void refresh();
 
@@ -211,12 +209,12 @@ class RpsEngine
     size_t refreshDirty();
 
     /**
-     * Switch the active precision: install the cached float entries
-     * and integer codes for @p bits (or clear them for 0 = full
+     * Switch the active precision: install the cached integer codes
+     * and tile packs for @p bits (or clear them for 0 = full
      * precision) and propagate the quant state through the network.
      * O(#layers) plus, per installed cell, a re-quantization when its
      * master weights moved since it was built (the lazy column
-     * rebuild) or a code-to-float materialization on its first use.
+     * rebuild) or a pack pass on its first install.
      * A bound-set precision outside the cached set switches uncached.
      */
     void setPrecision(int bits);
@@ -259,21 +257,16 @@ class RpsEngine
      * cell first when the master weights moved since it was built. */
     const QuantTensor &codesFor(size_t layer, int bits);
 
-    /** The cached STE mask of layer @p layer at @p bits (checkpoint
-     * writer access; same lazy-rebuild contract as codesFor). */
-    const Tensor &steMaskFor(size_t layer, int bits);
-
     /**
      * Install one externally restored cache cell (checkpoint warm
-     * start): the canonical codes plus the STE mask, both quantized
-     * from the layer's *current* master weights by the producer. The
-     * cell is marked built at the layer's current weight version; the
-     * float view stays lazy (materialized on first install, as after
-     * an ordinary build). Shape/precision must match the layer and
-     * the cached set — the checkpoint loader validates before calling.
+     * start): the canonical codes, quantized from the layer's
+     * *current* master weights by the producer. The cell is marked
+     * built at the layer's current weight version; its tile pack is
+     * built on first install, as after an ordinary build.
+     * Shape/precision must match the layer and the cached set — the
+     * checkpoint loader validates before calling.
      */
-    void importCell(size_t layer, size_t prec, QuantTensor codes,
-                    Tensor ste_mask);
+    void importCell(size_t layer, size_t prec, QuantTensor codes);
 
     /**
      * importCell() variant that also installs a pre-built tile pack
@@ -287,7 +280,7 @@ class RpsEngine
      * the cell repacks on first install (counted in packBuilds()).
      */
     void importCell(size_t layer, size_t prec, QuantTensor codes,
-                    Tensor ste_mask, gemm::PackedIntWeights packed);
+                    gemm::PackedIntWeights packed);
 
     /** The tile-packed kernel weights of layer @p layer at @p bits
      * (checkpoint writer access; brings a stale cell current and
@@ -317,13 +310,11 @@ class RpsEngine
 
   private:
     /** One (layer, precision) cache cell: canonical codes plus the
-     * lazily materialized float fake-quant view and the lazily built
-     * tile-packed kernel weights, stamped with the master-weight
-     * version it was quantized from. */
+     * lazily built tile-packed kernel weights, stamped with the
+     * master-weight version it was quantized from. */
     struct CacheEntry
     {
         QuantTensor codes;
-        QuantResult floats; ///< steMask eager, values lazy
         /** Tile-ordered codes for the packed integer kernels
          * (gemm::igemmPackedTransB*), built on the cell's first
          * install and then kept current by rebuilds — a precision
@@ -331,7 +322,6 @@ class RpsEngine
          * per-forward repack disappears from the serving path. */
         gemm::PackedIntWeights packed;
         bool packedReady = false;
-        bool floatsReady = false;
         bool built = false;
         uint64_t builtVersion = 0;
         /** Logical clock of the cell's last install/access — the LRU
@@ -374,11 +364,10 @@ class RpsEngine
      * weights. */
     bool cellStale(size_t layer, size_t prec) const;
 
-    /** Re-quantize one cell from the current masters, fusing the
-     * float-view materialization when the view is (or must become)
-     * live; a live tile pack is repacked from the fresh codes so
-     * installed pack pointers stay current. */
-    void rebuildCell(size_t layer, size_t prec, bool want_floats);
+    /** Re-quantize one cell from the current masters; a live tile
+     * pack is repacked from the fresh codes so installed pack
+     * pointers stay current. */
+    void rebuildCell(size_t layer, size_t prec);
 
     /** (Re)build a cell's tile-packed kernel weights from its codes,
      * in the layout layer @p layer reads (packCodes). */
@@ -389,8 +378,7 @@ class RpsEngine
 
     /** Shared importCell body (no budget enforcement — the public
      * overloads re-enforce it once the cell is fully landed). */
-    void importCellImpl(size_t layer, size_t prec, QuantTensor codes,
-                        Tensor ste_mask);
+    void importCellImpl(size_t layer, size_t prec, QuantTensor codes);
 
     /** Try to fill an absent cell from the hydrator. Thread-safe for
      * disjoint cells (each parallelFor worker owns its cell). */
@@ -398,15 +386,14 @@ class RpsEngine
 
     /** Make the cell current: hydrate when absent and the hydrator
      * is still valid for the layer, else re-quantize when stale. */
-    void ensureCell(size_t layer, size_t prec, bool want_floats);
+    void ensureCell(size_t layer, size_t prec);
 
     /** Drop LRU evictable cells until cacheBytes() fits the budget
      * (no-op without one). Serial sections only. */
     void evictToBudget();
 
     /** Rebuild all cached precisions of the given layers (parallel
-     * over layers x precisions; float views of used precisions are
-     * rebuilt fused, never-used views stay lazy). */
+     * over layers x precisions). */
     void rebuildLayers(const std::vector<size_t> &which);
 };
 

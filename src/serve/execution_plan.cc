@@ -270,9 +270,8 @@ ExecutionPlan::arenaBytes() const
     for (const Value &v : values_)
         bytes += v.bytes();
     for (const LayerScratch &s : scratch_) {
-        bytes += s.wq.values.size() * sizeof(float) +
-                 s.wq.steMask.size() * sizeof(float);
-        bytes += s.wcodes.bytes() + s.pack.wpack.bytes();
+        bytes += s.wq.size() * sizeof(float) + s.wcodes.bytes() +
+                 s.pack.wpack.bytes();
     }
     return bytes;
 }

@@ -119,15 +119,15 @@ struct Value
 };
 
 /**
- * Per-emitted-layer scratch: the uncached-weight fallback buffers and
- * the locally built weight pack. Allocated once at compile, reused
- * every forward. The operand staging (im2col columns, accumulators)
+ * Per-emitted-layer scratch: the float weights a float step
+ * dequantizes into, the uncached-codes fallback and the locally built
+ * weight pack. Allocated once at compile, reused every forward. The operand staging (im2col columns, accumulators)
  * is plan-wide instead: steps run one after another, so one block
  * serves them all (ExecutionPlan::operands / floatCols).
  */
 struct LayerScratch
 {
-    QuantResult wq;     ///< uncached weight fake-quant fallback
+    Tensor wq;          ///< float weights of a float step
     QuantTensor wcodes; ///< uncached weight codes fallback
     PackScratch pack;   ///< locally built tile-packed weights
 };

@@ -416,6 +416,92 @@ TEST(Checkpoint, LegacyLayoutConvPacksAreRebuiltNotInstalled)
     std::remove(legacy.c_str());
 }
 
+/** Append the bit-packed STE mask of @p master at @p bits to a CELL
+ * payload — the cell layout of artifacts written while the engine
+ * stored masks — plus @p extra trailing bytes. */
+void
+appendLegacyMask(std::vector<uint8_t> &cell, const Tensor &master, int bits,
+                 size_t extra)
+{
+    Tensor mask = LinearQuantizer::fakeQuantSymmetric(master, bits).steMask;
+    std::vector<char> packed((mask.size() + 7) / 8, 0);
+    for (size_t i = 0; i < mask.size(); ++i)
+        if (mask[i] != 0.0f)
+            packed[i >> 3] |= static_cast<char>(1 << (i & 7));
+    io::Writer w;
+    w.u8Vec(packed.data(), packed.size());
+    for (size_t i = 0; i < extra; ++i)
+        w.u8(0);
+    cell.insert(cell.end(), w.bytes().begin(), w.bytes().end());
+}
+
+/** CELL sections that carry the old trailing STE mask still load —
+ * the mask is read and dropped — through the eager reader and the
+ * streaming loader, importing every cell with bit-identical logits.
+ * A CELL with bytes beyond that mask stays corrupt: the eager reader
+ * throws, and the streaming hydrator refuses the cell, which the
+ * engine then rebuilds from the masters. */
+TEST(Checkpoint, LegacyCellsWithStoredMaskLoad)
+{
+    Network net = makeResidualNet(51);
+    Tensor x = makeInput(13);
+    RpsEngine engine(net);
+    std::string path = tmpPath("cells_current");
+    checkpoint::save(path, net, &engine);
+    std::vector<WeightQuantizedLayer *> layers = net.weightQuantizedLayers();
+    const uint64_t cells = layers.size() * net.precisionSet().size();
+
+    auto legacy = [&](const std::string &out, size_t extra) {
+        rewriteSections(path, out,
+                        [&](const io::SectionInfo &si,
+                            std::vector<uint8_t> &bytes) {
+                            if (si.is("CELL"))
+                                appendLegacyMask(
+                                    bytes,
+                                    layers[static_cast<size_t>(si.a)]
+                                        ->masterWeight(),
+                                    si.b, extra);
+                        });
+    };
+    auto expectServes = [&](Session &s) {
+        for (int bits : net.precisionSet().bits()) {
+            Tensor q_ref = engine.forwardQuantizedAt(bits, x);
+            Tensor f_ref = engine.forwardAt(bits, x);
+            s.switchPrecision(bits);
+            expectBitIdentical(q_ref, s.forwardQuantized(x), bits);
+            expectBitIdentical(f_ref, s.forward(x), bits);
+        }
+    };
+
+    std::string with_mask = tmpPath("cells_legacy_mask");
+    legacy(with_mask, 0);
+    EXPECT_TRUE(
+        checkpoint::Checkpoint::read(with_mask).hasEngineCache());
+    for (bool stream : {false, true}) {
+        SCOPED_TRACE(stream ? "streaming" : "eager");
+        SessionConfig cfg;
+        cfg.streamArtifact = stream;
+        Session s = Session::fromCheckpoint(with_mask, cfg);
+        expectServes(s);
+        EXPECT_EQ(s.engine().columnRebuilds(), 0u);
+        EXPECT_EQ(s.engine().cellHydrations(), stream ? cells : 0u);
+    }
+
+    std::string overlong = tmpPath("cells_legacy_overlong");
+    legacy(overlong, 1);
+    EXPECT_THROW(checkpoint::Checkpoint::read(overlong),
+                 io::CheckpointError);
+    SessionConfig cfg;
+    cfg.streamArtifact = true;
+    Session s = Session::fromCheckpoint(overlong, cfg);
+    expectServes(s);
+    EXPECT_EQ(s.engine().cellHydrations(), 0u);
+    EXPECT_EQ(s.engine().columnRebuilds(), cells);
+    std::remove(path.c_str());
+    std::remove(with_mask.c_str());
+    std::remove(overlong.c_str());
+}
+
 /** A cache-less artifact still loads; the session builds its engine
  * the ordinary (quantizing) way. */
 TEST(Checkpoint, LoadsWithoutEngineCache)

@@ -60,7 +60,7 @@ expectBitIdentical(const Tensor &a, const Tensor &b, int bits)
         ASSERT_EQ(a[i], b[i]) << "bits=" << bits << " i=" << i;
 }
 
-/** Populate every cached column (codes, float views, packs). */
+/** Populate every cached column (codes, packs). */
 void
 populate(RpsEngine &eng)
 {

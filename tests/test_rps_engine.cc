@@ -17,6 +17,7 @@
 #include "common/thread_pool.hh"
 #include "data/synthetic.hh"
 #include "nn/conv2d.hh"
+#include "nn/linear.hh"
 #include "nn/model_zoo.hh"
 #include "nn/sgd.hh"
 #include "quant/rps_engine.hh"
@@ -209,9 +210,8 @@ TEST(RpsEngine, SubsetCacheServesAllBoundPrecisions)
 }
 
 /** Cache accounting: every Conv2d/Linear at every candidate holds
- * int32 codes + a float STE mask; the float view AND the tile-packed
- * kernel weights of a precision are materialized lazily on its first
- * install. */
+ * its int32 codes, and nothing else until the first install of a
+ * precision adds that column's tile-packed kernel weights. */
 TEST(RpsEngine, CacheAccounting)
 {
     Network net = makeResidualNet(48);
@@ -224,15 +224,13 @@ TEST(RpsEngine, CacheAccounting)
     size_t weight_scalars = 0;
     for (WeightQuantizedLayer *l : net.weightQuantizedLayers())
         weight_scalars += l->masterWeight().size();
-    // Codes (4B) + mask (4B) per scalar per candidate; no float view
-    // or tile pack materialized before the first switch.
-    size_t base =
-        2 * sizeof(float) * weight_scalars * engine.set().size();
+    // A cell is codes + pack only: int32 codes per scalar per
+    // candidate, and no tile pack before the first switch.
+    size_t base = sizeof(int32_t) * weight_scalars * engine.set().size();
     EXPECT_EQ(engine.cacheBytes(), base);
 
-    // Switching to one candidate materializes exactly that column's
-    // float values (one extra float per scalar) and its tile packs —
-    // reproduced independently here from the cached codes.
+    // Switching to one candidate adds exactly that column's tile
+    // packs — reproduced independently here from the cached codes.
     int bits0 = engine.set().bits()[0];
     engine.setPrecision(bits0);
     size_t pack_bytes = 0;
@@ -245,8 +243,73 @@ TEST(RpsEngine, CacheAccounting)
         pack_bytes += pw.bytes();
     }
     EXPECT_GT(pack_bytes, 0u);
-    EXPECT_EQ(engine.cacheBytes(),
-              base + sizeof(float) * weight_scalars + pack_bytes);
+    EXPECT_EQ(engine.cacheBytes(), base + pack_bytes);
+}
+
+/** Weight gradients of @p net's only layer @p w after one train
+ * forward of @p x and a backward of all-ones. */
+Tensor
+weightGrad(Network &net, Parameter &w, const Tensor &x)
+{
+    net.zeroGrad();
+    Tensor y = net.forward(x, /*train=*/true);
+    net.backward(Tensor::ones(y.shape()));
+    return w.grad;
+}
+
+/** Subnormal weight scales clip: with max|w| = 1e-40 at 16 bits the
+ * grid scale rounds down to a subnormal, so fakeQuantSymmetric's STE
+ * mask has zeros. The backward derives its mask from the forward's
+ * grid instead of assuming ones, so for a Conv2d and a Linear the
+ * engine-installed and uncached paths give the same weight gradients,
+ * and both equal the unmasked dW (the full-precision gradient, which
+ * does not depend on the weights) times that mask. */
+TEST(RpsEngine, SubnormalScaleSteMaskIsDerived)
+{
+    const int bits = 16;
+    auto run = [&](Network &net, Parameter &w, const Tensor &x) {
+        Rng rng(77);
+        for (size_t i = 0; i < w.value.size(); ++i)
+            w.value[i] = static_cast<float>(rng.uniform(-1.0, 1.0) * 1e-40);
+        w.value[0] = 1e-40f;
+        QuantResult ref = LinearQuantizer::fakeQuantSymmetric(w.value, bits);
+        size_t zeros = 0;
+        for (size_t i = 0; i < ref.steMask.size(); ++i)
+            zeros += ref.steMask[i] == 0.0f ? 1 : 0;
+        ASSERT_GT(zeros, 0u);
+        ASSERT_LT(zeros, ref.steMask.size());
+
+        net.setPrecision(0);
+        Tensor dw = weightGrad(net, w, x);
+        net.setPrecision(bits);
+        Tensor uncached = weightGrad(net, w, x);
+        RpsEngine engine(net);
+        engine.setPrecision(bits);
+        engine.resetCacheStats();
+        Tensor cached = weightGrad(net, w, x);
+        EXPECT_EQ(engine.cacheHits(), 2u); // forward + backward
+        EXPECT_EQ(engine.cacheMisses(), 0u);
+        for (size_t i = 0; i < dw.size(); ++i) {
+            ASSERT_EQ(cached[i], uncached[i]) << "i=" << i;
+            ASSERT_EQ(uncached[i], dw[i] * ref.steMask[i]) << "i=" << i;
+        }
+    };
+    Rng rng(78);
+    {
+        Network net(PrecisionSet::rps4to16());
+        net.add(std::make_unique<Conv2d>(2, 3, 3, 1, 1, true, rng));
+        auto *conv = dynamic_cast<Conv2d *>(&net.layer(0));
+        SCOPED_TRACE("conv2d");
+        run(net, conv->weight(),
+            Tensor::uniform({2, 2, 5, 5}, rng, 0.0f, 1.0f));
+    }
+    {
+        Network net(PrecisionSet::rps4to16());
+        net.add(std::make_unique<Linear>(6, 4, true, rng));
+        auto *fc = dynamic_cast<Linear *>(&net.layer(0));
+        SCOPED_TRACE("linear");
+        run(net, fc->weight(), Tensor::uniform({3, 6}, rng, 0.0f, 1.0f));
+    }
 }
 
 /** A precision switch installs ready-to-run tile-packed kernel

@@ -156,7 +156,7 @@ TEST(ExecutionPlan, ZeroTensorAllocationsAfterCompile)
     std::unique_ptr<serve::ExecutionPlan> fplan = net.compile(
         net.precisionSet(), serve::PlanMode::Float, x.shape());
 
-    // One pass over every precision so engine-side float views and
+    // One pass over every precision so engine-side tile packs and
     // plan buffers are at their high-water marks.
     for (int bits : net.precisionSet().bits()) {
         engine.setPrecision(bits);
