@@ -16,12 +16,15 @@
  *            precision switch, averaged over the candidate set)
  *   forward: [ { bits, uncached_ns, cached_ns, speedup } ]
  *   quant_forward: [ { bits, float_cached_ns, quant_ns, speedup } ]
- *            (calibrated static-scale integer forward vs the cached
- *            dynamic float fake-quant forward — ISSUE 3)
+ *            (calibrated static-scale integer forward — the network's
+ *            unfused reference plan, Network::forwardQuantized — vs
+ *            the cached dynamic float fake-quant forward)
  *   quant_forward_speedup: mean of the per-bits speedups
  *   plan_forward: [ { bits, legacy_ns, plan_ns, speedup } ]
- *            (the compiled allocation-free execution plan vs the
- *            PR 3 per-layer quantized loop — ISSUE 4)
+ *            (plan_ns: the fused quantized plan every serving path
+ *            runs; legacy_ns: the network's unfused reference plan;
+ *            the ratio is what producer fusion — SBN+ReLU and
+ *            SBN+ReLU+quantize steps — saves)
  *   plan_forward_speedup: mean of the per-bits speedups
  *   serve_qps: { serial_qps, parallel_qps, scaling, p50_us, p99_us }
  *            (Session-fronted batched RPS serving, one thread vs the
@@ -39,8 +42,8 @@
  * Exits non-zero when the cached forward is not bit-identical, the
  * cached switch speedup falls below the 10x acceptance floor, the
  * calibrated quantized forward is not >= 1.3x the cached float
- * forward (ISSUE 3), the plan forward is not >= 1.15x the legacy
- * quantized forward, (with >= 4 pool threads on >= 4 hardware
+ * forward, the fused plan forward is not >= 1.15x the unfused
+ * reference plan, (with >= 4 pool threads on >= 4 hardware
  * cores) serving throughput does not scale >= 1.5x from one thread to
  * the pool (ISSUE 4), or — on machines whose dispatched ISA tier is
  * avx512vnni — the packed 8-bit GEMM does not reach the blocked float
@@ -244,10 +247,11 @@ main()
                     r.float_cached_ns / r.quant_ns);
     std::printf("mean quantized-forward speedup: %.2fx\n", quant_speedup);
 
-    // --- Compiled execution plan vs the per-layer quantized loop ---
-    // Same precision state and calibrated scales as the quant rows:
-    // the plan runs the identical kernels through one allocation-free
-    // dispatch loop over the preallocated arena (ISSUE 4 tentpole).
+    // --- Fused plan vs the network's unfused reference plan --------
+    // Same precision state and calibrated scales as the quant rows,
+    // whose timings (Network::forwardQuantized) are the unfused side:
+    // both run the identical kernels over an allocation-free arena,
+    // so the ratio is what producer fusion saves.
     std::unique_ptr<serve::ExecutionPlan> qplan =
         net.compile(set, serve::PlanMode::Quantized, x.shape());
     struct PlanRow

@@ -88,7 +88,7 @@ class MacArraySimulator
 
     /**
      * Execute a conv layer straight from canonical quantized tensors:
-     * the same int codes the nn library's forwardQuantized consumes
+     * the same int codes the nn library's quantized plan steps consume
      * (e.g. out of the RpsEngine cache and an ActQuant), with the
      * precisions taken from the QuantTensors themselves. @p weights
      * is [K,C,R,S]; @p input is one image [C,IY,IX].

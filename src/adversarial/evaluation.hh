@@ -90,7 +90,7 @@ double rpsNaturalAccuracy(Network &net, const Dataset &data,
 
 /**
  * RPS natural accuracy served from the integer datapath
- * (Network::forwardQuantized through the engine's cached int codes) —
+ * (the session's quantized plans over the engine's cached int codes) —
  * what the bit-serial accelerator would actually compute. Matches
  * rpsNaturalAccuracy up to the documented int-vs-float rounding
  * tolerance; calibrate the session first for the quantization-free

@@ -35,15 +35,6 @@ ReLU::backward(const Tensor &grad_out)
     return ops::mul(grad_out, cachedMask_);
 }
 
-QuantAct
-ReLU::forwardQuantized(QuantAct &x)
-{
-    // Inference datapath: a single rectify pass, no gradient mask.
-    Tensor out;
-    inferenceInto(x.denseView(), out);
-    return QuantAct(std::move(out));
-}
-
 void
 ReLU::inferenceInto(const Tensor &x, Tensor &out) const
 {
@@ -137,20 +128,6 @@ ActQuant::forward(const Tensor &x, bool train)
             : LinearQuantizer::fakeQuantUnsigned(x, quant_.actBits);
     cachedMask_ = r.steMask;
     return r.values;
-}
-
-QuantAct
-ActQuant::forwardQuantized(QuantAct &x)
-{
-    if (quant_.actBits <= 0)
-        return QuantAct(x.denseView());
-
-    QuantAct out;
-    inferQuantInto(x.denseView(), out.q);
-    // The float view stays unmaterialized: integer consumers (Conv2d,
-    // Linear, GlobalAvgPool) take the codes, and anything else
-    // materializes on demand through denseView().
-    return out;
 }
 
 void

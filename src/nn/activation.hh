@@ -22,14 +22,12 @@ class ReLU : public Layer
   public:
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
-    /** Inference-only rectify: no backward mask is built. */
-    QuantAct forwardQuantized(QuantAct &x) override;
     void emitPlanSteps(serve::PlanBuilder &b) override;
     std::string describe() const override { return "ReLU"; }
     LayerSpec spec() const override { return {"relu", {}}; }
 
-    /** Rectify into a caller-owned buffer (the allocation-free plan
-     * form; forwardQuantized wraps it). */
+    /** Inference-only rectify into a caller-owned buffer (the
+     * allocation-free plan form): no backward mask is built. */
     void inferenceInto(const Tensor &x, Tensor &out) const;
 
   private:
@@ -57,7 +55,6 @@ class ActQuant : public Layer
   public:
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
-    QuantAct forwardQuantized(QuantAct &x) override;
     void emitPlanSteps(serve::PlanBuilder &b) override;
     void collectActQuant(std::vector<ActQuant *> &out) override;
     std::string describe() const override { return "ActQuant"; }
@@ -69,10 +66,9 @@ class ActQuant : public Layer
     std::string checkState(int required_banks) const override;
 
     /** @name Allocation-free plan kernels
-     * Both are bit-identical to the legacy paths: inferFloatInto
-     * reproduces forward(eval)'s values (same range selection, same
-     * grid pass, no STE mask), inferQuantInto reproduces
-     * forwardQuantized's codes. */
+     * inferFloatInto reproduces forward(eval)'s values bit-for-bit
+     * (same range selection, same grid pass, no STE mask);
+     * inferQuantInto writes the codes of the same grid. */
     /** @{ */
     void inferFloatInto(const Tensor &x, Tensor &out);
     void inferQuantInto(const Tensor &x, QuantTensor &out_q);
@@ -85,7 +81,9 @@ class ActQuant : public Layer
     /** Emit this quantizer as a producer of channel-last codes (a
      * @p pad border) for a quantized plan whose consumers of its
      * output are all Conv2d — the network input quantizer feeding the
-     * stem conv. At full precision it passes its input through. */
+     * stem conv, and any ActQuant feeding convs in a plan that does
+     * not fuse it into its SBN+ReLU producer. At full precision it
+     * passes its input through. */
     void emitChannelLastPlanStep(serve::PlanBuilder &b, int pad);
 
     /** @name Calibration interface (driven by Calibrator) */

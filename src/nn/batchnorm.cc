@@ -116,14 +116,6 @@ SwitchableBatchNorm2d::forward(const Tensor &x, bool train)
     return out;
 }
 
-QuantAct
-SwitchableBatchNorm2d::forwardQuantized(QuantAct &xa)
-{
-    Tensor out;
-    inferenceInto(xa.denseView(), out, /*fuse_relu=*/false);
-    return QuantAct(std::move(out));
-}
-
 const SwitchableBatchNorm2d::Bank &
 SwitchableBatchNorm2d::inferenceBank() const
 {

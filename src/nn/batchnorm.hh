@@ -46,7 +46,6 @@ class SwitchableBatchNorm2d : public Layer
      * backward caches (input copy, xhat) the training forward keeps.
      * This is the form the accelerator executes — the BN multiply
      * folds into the quantizer scale (paper Sec. 2.4). */
-    QuantAct forwardQuantized(QuantAct &x) override;
     void emitPlanSteps(serve::PlanBuilder &b) override;
     void collectParameters(std::vector<Parameter *> &out) override;
     std::string describe() const override;
@@ -59,7 +58,7 @@ class SwitchableBatchNorm2d : public Layer
 
     /**
      * The running-stats affine transform into a caller-owned buffer
-     * (the allocation-free plan form; forwardQuantized wraps it).
+     * (the allocation-free plan form).
      * With @p fuse_relu the rectify runs in the same pass — the
      * per-element value is computed identically and then clamped, so
      * the fused output is bit-identical to SBN-then-ReLU.

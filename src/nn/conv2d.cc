@@ -263,30 +263,6 @@ tapCopyImage(const S *img, int wp, int c, int oh, int ow, int kernel,
 
 } // namespace
 
-bool
-Conv2d::intPathEligible(const QuantTensor &xq) const
-{
-    // The integer path needs weight quantization on and unsigned
-    // activation codes of a width the narrow kernels take; anything
-    // else composes through the float fallback.
-    return quant_.weightBits > 0 && !xq.empty() && !xq.isSigned &&
-           xq.bits <= 16;
-}
-
-QuantAct
-Conv2d::forwardQuantized(QuantAct &x)
-{
-    if (!x.hasCodes() || !intPathEligible(x.q))
-        return Layer::forwardQuantized(x);
-
-    QuantTensor wlocal;
-    const QuantTensor &wq = quantizedCodes(quant_.weightBits, wlocal);
-    iscratch_.stage.stage(x.q, padding_);
-    Tensor out;
-    inferQuantInto(iscratch_.stage, wq, pscratch_, iscratch_, out);
-    return QuantAct(std::move(out));
-}
-
 void
 Conv2d::inferQuantInto(const ChannelLastCodes &x, const QuantTensor &wq,
                        PackScratch &ps, IntGemmScratch &s, Tensor &out)
@@ -371,18 +347,12 @@ Conv2d::emitPlanSteps(serve::PlanBuilder &b)
                       serve::Value &vi = p.value(in);
                       serve::Value &vo = p.value(out);
                       serve::LayerScratch &ls = p.scratch(sid);
-                      IntGemmScratch &ops = p.operands();
                       vo.reset();
-                      bool nchw = vi.hasCodes && intPathEligible(vi.q);
-                      if (quant_.weightBits > 0 &&
-                          (vi.hasChannelLast || nchw)) {
+                      if (quant_.weightBits > 0 && vi.hasChannelLast) {
                           const QuantTensor &wq = quantizedCodes(
                               quant_.weightBits, ls.wcodes);
-                          if (!vi.hasChannelLast)
-                              ops.stage.stage(vi.q, padding_);
-                          inferQuantInto(vi.hasChannelLast ? vi.cl
-                                                           : ops.stage,
-                                         wq, ls.pack, ops, vo.dense);
+                          inferQuantInto(vi.cl, wq, ls.pack, p.operands(),
+                                         vo.dense);
                       } else {
                           inferFloatInto(vi.denseView(), ls.wq,
                                          p.floatCols(), vo.dense);

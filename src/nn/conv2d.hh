@@ -37,26 +37,12 @@ class Conv2d : public Layer, public WeightQuantizedLayer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
 
-    /**
-     * Integer-datapath forward: restages the unsigned activation
-     * codes (<= 16 bit) channel-last with this conv's padding as
-     * border and runs inferQuantInto — the im2col columns at the
-     * narrowest operand width (uint8 under 8 bits, uint16 otherwise),
-     * exact accumulation through the tile-packed kernels
-     * (gemm::igemmPackedTransB), and dequantization with the combined
-     * scale (bias fused). Falls back to the float forward when the
-     * input carries no codes or weight quantization is off.
-     */
-    QuantAct forwardQuantized(QuantAct &x) override;
-
     /** Convs pack tap-major: kernel * kernel taps. */
     int packTaps() const override { return kernel_ * kernel_; }
 
     void emitPlanSteps(serve::PlanBuilder &b) override;
 
-    /** @name Allocation-free plan kernels
-     * Shared with the legacy paths so plan forwards are bit-identical
-     * by construction. */
+    /** @name Allocation-free plan kernels */
     /** @{ */
     /**
      * Float inference forward into caller-owned buffers: weights
@@ -66,13 +52,13 @@ class Conv2d : public Layer, public WeightQuantizedLayer
      */
     void inferFloatInto(const Tensor &x, Tensor &wq_scratch, Tensor &cols,
                         Tensor &out);
-    /** Whether the integer datapath can consume these input codes at
-     * the active weight precision. */
-    bool intPathEligible(const QuantTensor &xq) const;
     /**
      * Integer inference forward over channel-last input codes (border
-     * at least this conv's padding): tap-copy im2col + packed igemm +
-     * fused dequant/bias into @p out, staging through @p s. The
+     * at least this conv's padding): tap-copy im2col at the narrowest
+     * operand width (uint8 when both sides fit 8 bits, uint16
+     * otherwise), exact accumulation through the tile-packed kernels
+     * (gemm::igemmPackedTransB) and dequantization with the combined
+     * scale, bias fused, into @p out, staging through @p s. The
      * weights are the engine-installed tap-major pack when it holds
      * @p wq, else a pack built in @p ps and kept across calls while
      * the weights stand still.
@@ -132,12 +118,6 @@ class Conv2d : public Layer, public WeightQuantizedLayer
     std::vector<int> cachedInShape_;
     int cachedOh_ = 0;
     int cachedOw_ = 0;
-
-    // Integer-path scratch for the per-layer loop, reused across
-    // forwards (plans share one operand block across their steps and
-    // keep a PackScratch per step).
-    IntGemmScratch iscratch_;
-    PackScratch pscratch_;
 
     /** The fused per-image GEMM+bias loop shared by forward() and
      * inferFloatInto(): out[K, OH*OW] slabs from W[K, patch] x

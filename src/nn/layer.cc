@@ -104,15 +104,6 @@ WeightQuantizedLayer::setQuantTrace(bool on)
     }
 }
 
-QuantAct
-Layer::forwardQuantized(QuantAct &x)
-{
-    // Default: materialize the float view and run the ordinary
-    // inference forward. Codes do not propagate through layers
-    // without an integer datapath.
-    return QuantAct(forward(x.denseView(), /*train=*/false));
-}
-
 void
 Layer::collectState(const std::string &prefix, StateDict &out)
 {

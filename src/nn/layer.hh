@@ -37,18 +37,14 @@ class PlanBuilder;
 }
 
 /**
- * Operand staging of the integer GEMMs: restaged channel-last input
- * codes, im2col columns at the narrowest operand width, the exact
- * accumulators, and the wide Linear path's lo/hi split. One GEMM uses
- * it at a time, so a compiled plan shares one block across all its
- * steps (serve/execution_plan.hh); the per-layer loops own one per
- * layer.
+ * Operand staging of the integer GEMMs: im2col columns at the
+ * narrowest operand width, the exact accumulators, and the wide
+ * Linear path's lo/hi split. One GEMM uses it at a time, so a
+ * compiled plan shares one block across all its steps
+ * (serve/execution_plan.hh).
  */
 struct IntGemmScratch
 {
-    /** NCHW input codes restaged channel-last (conv inputs that no
-     * channel-last producer wrote). */
-    ChannelLastCodes stage;
     std::vector<uint8_t> a8;
     std::vector<uint16_t> a16;
     std::vector<int64_t> acc;
@@ -58,7 +54,7 @@ struct IntGemmScratch
 
     size_t bytes() const
     {
-        return stage.bytes() + a8.size() * sizeof(uint8_t) +
+        return a8.size() * sizeof(uint8_t) +
                a16.size() * sizeof(uint16_t) +
                acc.size() * sizeof(int64_t) +
                wide16.size() * sizeof(uint16_t);
@@ -158,36 +154,6 @@ struct Parameter
 };
 
 /**
- * An activation value flowing through Network::forwardQuantized: the
- * canonical integer codes (when the producing layer emitted them —
- * ActQuant with a quantized precision active, or an integer-exact
- * transform like GlobalAvgPool) plus a float view materialized from
- * the codes only when a float-domain consumer (BN, ReLU, the residual
- * add) actually needs it.
- */
-struct QuantAct
-{
-    /** Float view; may be empty while codes are valid. */
-    Tensor dense;
-    /** Integer codes + scale (empty when the value is float-only). */
-    QuantTensor q;
-
-    QuantAct() = default;
-    explicit QuantAct(Tensor d) : dense(std::move(d)) {}
-
-    bool hasCodes() const { return !q.empty(); }
-
-    /** The float view, materialized from the codes on first use. */
-    const Tensor &
-    denseView()
-    {
-        if (dense.empty() && !q.empty())
-            q.dequantizeInto(dense);
-        return dense;
-    }
-};
-
-/**
  * Interface of layers that fake-quantize a weight tensor (Conv2d,
  * Linear). RpsEngine discovers these through
  * Layer::collectWeightQuantized and installs pre-quantized weight
@@ -209,7 +175,7 @@ class WeightQuantizedLayer
     /**
      * Install externally owned canonical integer weight codes, or
      * clear them with nullptr. While installed and matching the
-     * layer's active weightBits, forwardQuantized consumes them
+     * layer's active weightBits, the integer plan steps consume them
      * directly and the float forward/backward dequantize them instead
      * of re-running fakeQuantSymmetric; at any other active precision
      * the layer falls back to re-quantizing the masters. The pointee
@@ -280,8 +246,8 @@ class WeightQuantizedLayer
      */
     void setQuantTrace(bool on);
 
-    /** Last traced integer operands (valid after a traced
-     * forwardQuantized that took the integer path). */
+    /** Last traced integer operands (valid after a traced quantized
+     * plan forward whose step took the integer path). */
     const QuantTensor &tracedWeightCodes() const { return tracedW_; }
     const QuantTensor &tracedActCodes() const { return tracedA_; }
     /** Last traced integer accumulator outputs, row-major in the
@@ -371,26 +337,16 @@ class Layer
     virtual Tensor backward(const Tensor &grad_out) = 0;
 
     /**
-     * Inference-only forward on the integer-code representation.
-     *
-     * Layers with an integer datapath (Conv2d/Linear consuming codes,
-     * ActQuant producing them, GlobalAvgPool transforming them
-     * exactly) override this; the default materializes the float view
-     * and runs the ordinary forward, so any layer mix composes. May
-     * materialize @p x's float view in place (hence non-const).
-     */
-    virtual QuantAct forwardQuantized(QuantAct &x);
-
-    /**
      * Emit this layer's inference steps into a plan under
      * construction (serve/execution_plan.hh): read the builder's
      * current value id, append steps computing this layer's output
-     * into arena values, and leave the output id on top. Emitted
-     * steps must be bit-identical to forward(eval) (PlanMode::Float)
-     * or forwardQuantized (PlanMode::Quantized) — layers share their
-     * *Into kernels between both paths to guarantee it. Emitted steps
-     * must not touch the layer's forward caches: plan replicas run
-     * concurrently over the same layers.
+     * into arena values, and leave the output id on top. This is the
+     * layer's only inference path besides forward(): float plans
+     * (PlanMode::Float) must be bit-identical to forward(eval), and
+     * quantized plans (PlanMode::Quantized) run the integer datapath
+     * — Network::forwardQuantized is an unfused quantized plan.
+     * Emitted steps must not touch the layer's forward caches: plan
+     * replicas run concurrently over the same layers.
      */
     virtual void emitPlanSteps(serve::PlanBuilder &b) = 0;
 

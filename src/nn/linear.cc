@@ -78,19 +78,6 @@ Linear::inferFloatInto(const Tensor &x, Tensor &wq_scratch, Tensor &out)
         addBiasRows(out);
 }
 
-QuantAct
-Linear::forwardQuantized(QuantAct &x)
-{
-    if (quant_.weightBits <= 0 || !x.hasCodes())
-        return Layer::forwardQuantized(x);
-
-    QuantTensor wlocal;
-    const QuantTensor &wq = quantizedCodes(quant_.weightBits, wlocal);
-    Tensor out;
-    inferQuantInto(x.q, wq, pscratch_, iscratch_, out);
-    return QuantAct(std::move(out));
-}
-
 void
 Linear::inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
                        PackScratch &ps, IntGemmScratch &s, Tensor &out)

@@ -27,31 +27,23 @@ class Linear : public Layer, public WeightQuantizedLayer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
 
-    /**
-     * Integer-datapath forward: consumes unsigned activation codes
-     * of up to 30 bits (the classifier head sits behind
-     * GlobalAvgPool, whose integer partial sums outgrow 16 bits)
-     * through the packed wide-split igemm
-     * (gemm::igemmPackedWideTransA), dequantizing with the combined
-     * scale.
-     * Falls back to the float forward when the input carries no codes
-     * or weight quantization is off.
-     */
-    QuantAct forwardQuantized(QuantAct &x) override;
-
+    /** Quantized plans run inferQuantInto when the input carries
+     * codes and weight quantization is on, else inferFloatInto. */
     void emitPlanSteps(serve::PlanBuilder &b) override;
 
-    /** @name Allocation-free plan kernels
-     * Shared with the legacy paths so plan forwards are bit-identical
-     * by construction. */
+    /** @name Allocation-free plan kernels */
     /** @{ */
     /** Float inference forward into a caller-owned buffer (weights
      * dequantized from the installed codes / freshly fake-quantized
      * into @p wq_scratch; the masters directly at full precision). */
     void inferFloatInto(const Tensor &x, Tensor &wq_scratch, Tensor &out);
-    /** Wide integer inference forward: packed igemm + fused
-     * dequant/bias into @p out, accumulating through @p s (weights
-     * packed as in Conv2d::inferQuantInto, locally into @p ps). */
+    /** Wide integer inference forward over unsigned activation codes
+     * of up to 30 bits (the classifier head sits behind
+     * GlobalAvgPool, whose integer partial sums outgrow 16 bits):
+     * the packed wide-split igemm (gemm::igemmPackedWideTransA) +
+     * fused dequant/bias into @p out, accumulating through @p s
+     * (weights packed as in Conv2d::inferQuantInto, locally into
+     * @p ps). */
     void inferQuantInto(const QuantTensor &xq, const QuantTensor &wq,
                         PackScratch &ps, IntGemmScratch &s, Tensor &out);
     /** @} */
@@ -88,10 +80,6 @@ class Linear : public Layer, public WeightQuantizedLayer
     Tensor wq_;
     int wqBits_ = 0;
     float wqScale_ = 0.0f;
-    // Integer-path scratch for the per-layer loop (plans share one
-    // operand block and keep a PackScratch per step).
-    IntGemmScratch iscratch_;
-    PackScratch pscratch_;
 
     /** The batch-parallel bias add shared by forward() and
      * inferFloatInto(). */

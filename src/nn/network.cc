@@ -16,6 +16,7 @@ Network::add(LayerPtr layer)
 {
     TWOINONE_ASSERT(layer != nullptr, "adding null layer");
     layers_.push_back(std::move(layer));
+    refPlan_.reset();
 }
 
 Layer &
@@ -39,14 +40,10 @@ Tensor
 Network::forwardQuantized(const Tensor &x)
 {
     TWOINONE_ASSERT(!layers_.empty(), "forward through empty network");
-    QuantAct h(x);
-    // Quantize the network input so the stem conv joins the integer
-    // path (at full precision the raw input flows through unchanged).
-    if (activeBits_ > 0)
-        h = inputQuant_->forwardQuantized(h);
-    for (auto &l : layers_)
-        h = l->forwardQuantized(h);
-    return h.denseView();
+    if (!refPlan_ || !refPlan_->fits(x))
+        refPlan_ = compile(precisionSet_, serve::PlanMode::Quantized,
+                           x.shape(), /*warm_all=*/false, /*fuse=*/false);
+    return refPlan_->run(x);
 }
 
 Tensor
@@ -180,10 +177,11 @@ Network::predictQuantized(const Tensor &x)
 
 std::unique_ptr<serve::ExecutionPlan>
 Network::compile(const PrecisionSet &precisions, serve::PlanMode mode,
-                 const std::vector<int> &max_input_shape, bool warm_all)
+                 const std::vector<int> &max_input_shape, bool warm_all,
+                 bool fuse)
 {
     return serve::ExecutionPlan::compile(*this, precisions, mode,
-                                         max_input_shape, warm_all);
+                                         max_input_shape, warm_all, fuse);
 }
 
 } // namespace twoinone

@@ -66,13 +66,17 @@ class Network
      * Inference forward on the integer-code datapath: the network
      * input is quantized first (at max(actBits, 16), so the stem conv
      * consumes integer codes without measurable input noise),
-     * ActQuant layers emit QuantTensor codes (static scales when
-     * calibrated), Conv2d / Linear consume them through the integer
-     * GEMM kernels, and float-domain layers compose through the dense
-     * view. Matches forward() within the rounding tolerance
-     * documented in the README's quantized-execution section. This
-     * per-layer loop is the reference a compiled quantized plan is
-     * bit-identical to.
+     * ActQuant layers emit codes (static scales when calibrated),
+     * Conv2d / Linear consume them through the integer GEMM kernels,
+     * and float-domain layers compose through the dense view. Matches
+     * forward() within the rounding tolerance documented in the
+     * README's quantized-execution section.
+     *
+     * Runs the network's own unfused quantized plan — every layer its
+     * own step — compiled lazily on first use (no per-candidate
+     * warm-up) and recompiled when @p x does not fit it. This is the
+     * reference every fused serving plan is bit-identical to. Not
+     * thread-safe: the plan has one arena.
      */
     Tensor forwardQuantized(const Tensor &x);
 
@@ -134,7 +138,7 @@ class Network
 
     /** The input quantizer feeding the stem conv on the integer
      * datapath (not part of the layer stack; applied only by
-     * forwardQuantized / the quantized plan). */
+     * quantized plans). */
     ActQuant &inputQuant() { return *inputQuant_; }
 
     /**
@@ -145,18 +149,22 @@ class Network
      * warm-up dry passes size buffers for (must be within the bound
      * set); @p max_input_shape is the largest [N, C, H, W] batch the
      * plan will serve. @p warm_all = false defers each candidate's
-     * warm-up to its first real run (lazy compilation — see
+     * warm-up to its first real run (lazy compilation); @p fuse =
+     * false keeps every layer its own step (see
      * ExecutionPlan::compile).
      */
     std::unique_ptr<serve::ExecutionPlan>
     compile(const PrecisionSet &precisions, serve::PlanMode mode,
             const std::vector<int> &max_input_shape,
-            bool warm_all = true);
+            bool warm_all = true, bool fuse = true);
 
   private:
     PrecisionSet precisionSet_;
     std::vector<LayerPtr> layers_;
     int activeBits_ = 0;
+    /** forwardQuantized's unfused plan (null until first use; add()
+     * drops it). */
+    std::unique_ptr<serve::ExecutionPlan> refPlan_;
 
     /** Heap-allocated so compiled plan steps can hold a stable
      * pointer across Network moves; pinned to the unit image range

@@ -60,16 +60,6 @@ GlobalAvgPool::backward(const Tensor &grad_out)
     return grad_in;
 }
 
-QuantAct
-GlobalAvgPool::forwardQuantized(QuantAct &x)
-{
-    if (!x.hasCodes())
-        return Layer::forwardQuantized(x);
-    QuantAct out;
-    inferQuantInto(x.q, out.q);
-    return out;
-}
-
 void
 GlobalAvgPool::inferQuantInto(const QuantTensor &xq,
                               QuantTensor &out) const

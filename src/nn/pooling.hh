@@ -19,21 +19,17 @@ class GlobalAvgPool : public Layer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
 
-    /**
-     * Integer-exact pooled codes: summing the grid codes and folding
-     * 1/(H*W) into the scale keeps the value on an integer grid
-     * (wider codes, scale / HW), so the classifier head can stay on
-     * the integer datapath. Falls back to the float path when the
-     * input carries no codes.
-     */
-    QuantAct forwardQuantized(QuantAct &x) override;
-
+    /** Quantized plans pool codes through inferQuantInto when the
+     * input carries them, else run inferFloatInto. */
     void emitPlanSteps(serve::PlanBuilder &b) override;
 
-    /** @name Allocation-free plan kernels (shared with the legacy
-     * paths) */
+    /** @name Allocation-free plan kernels */
     /** @{ */
     void inferFloatInto(const Tensor &x, Tensor &out) const;
+    /** Integer-exact pooled codes: summing the grid codes and folding
+     * 1/(H*W) into the scale keeps the value on an integer grid
+     * (wider codes, scale / HW), so the classifier head can stay on
+     * the integer datapath. */
     void inferQuantInto(const QuantTensor &xq, QuantTensor &out) const;
     /** @} */
 

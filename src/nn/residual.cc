@@ -39,49 +39,52 @@ PreActBlock::forward(const Tensor &x, bool train)
     return ops::add(y, sc);
 }
 
-QuantAct
-PreActBlock::forwardQuantized(QuantAct &x)
-{
-    // Mirrors forward(): BN / ReLU / the residual add stay in float;
-    // q1/q2 emit integer codes consumed by the convs' int datapath.
-    QuantAct h = bn1_.forwardQuantized(x);
-    h = relu1_.forwardQuantized(h);
-    h = q1_.forwardQuantized(h);
+namespace {
 
-    QuantAct sc;
-    if (convSc_) {
-        sc = convSc_->forwardQuantized(h);
-    } else {
-        sc.dense = x.denseView();
+/**
+ * Emit q(relu(bn(top))), the operand of convs with a @p pad border
+ * (the widest padding among them). Fused quantized plans run it as
+ * one producer of channel-last codes; unfused ones run the three
+ * layers' own steps, q writing the same channel-last codes. Float
+ * plans end in q's float fake-quant step, after one fused SBN+ReLU
+ * pass when fusing.
+ */
+void
+emitConvOperand(serve::PlanBuilder &b, SwitchableBatchNorm2d &bn,
+                ReLU &relu, ActQuant &q, int pad)
+{
+    const bool quantized = b.mode() == serve::PlanMode::Quantized;
+    if (b.fuse() && quantized) {
+        bn.emitFusedQuantProducer(b, q, pad);
+        return;
     }
-    QuantAct y = conv1_.forwardQuantized(h);
-    y = bn2_.forwardQuantized(y);
-    y = relu2_.forwardQuantized(y);
-    y = q2_.forwardQuantized(y);
-    y = conv2_.forwardQuantized(y);
-    return QuantAct(ops::add(y.denseView(), sc.denseView()));
+    if (b.fuse()) {
+        bn.emitFusedBnRelu(b);
+    } else {
+        bn.emitPlanSteps(b);
+        relu.emitPlanSteps(b);
+    }
+    if (quantized)
+        q.emitChannelLastPlanStep(b, pad);
+    else
+        q.emitPlanSteps(b);
 }
+
+} // namespace
 
 void
 PreActBlock::emitPlanSteps(serve::PlanBuilder &b)
 {
-    // Mirrors forwardQuantized()'s composition; SBN+ReLU pairs run
-    // fused (identical per-element values), and in a quantized plan
-    // the ActQuant joins them: both quantized values feed only convs,
-    // so their producers write channel-last operand codes directly.
-    const bool quantized = b.mode() == serve::PlanMode::Quantized;
+    // Mirrors forward(): BN / ReLU / the residual add stay in float;
+    // both quantized values feed only convs, so they are written as
+    // the convs' channel-last operand codes.
     int x = b.top();
 
     // h = q1(relu1(bn1(x))), read by conv1 and the projection.
-    if (quantized) {
-        int pad = conv1_.padding();
-        if (convSc_)
-            pad = std::max(pad, convSc_->padding());
-        bn1_.emitFusedQuantProducer(b, q1_, pad);
-    } else {
-        bn1_.emitFusedBnRelu(b);
-        q1_.emitPlanSteps(b);
-    }
+    int pad = conv1_.padding();
+    if (convSc_)
+        pad = std::max(pad, convSc_->padding());
+    emitConvOperand(b, bn1_, relu1_, q1_, pad);
     int h = b.top();
 
     // Shortcut branch: projection conv from h, or the identity x.
@@ -96,12 +99,7 @@ PreActBlock::emitPlanSteps(serve::PlanBuilder &b)
 
     // Main branch: conv2(q2(relu2(bn2(conv1(h))))).
     conv1_.emitPlanSteps(b);
-    if (quantized) {
-        bn2_.emitFusedQuantProducer(b, q2_, conv2_.padding());
-    } else {
-        bn2_.emitFusedBnRelu(b);
-        q2_.emitPlanSteps(b);
-    }
+    emitConvOperand(b, bn2_, relu2_, q2_, conv2_.padding());
     conv2_.emitPlanSteps(b);
     int y = b.top();
 

@@ -40,14 +40,11 @@ class PreActBlock : public Layer
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &grad_out) override;
-    /** Quantized-inference forward: SBN/ReLU/residual-add in float,
-     * ActQuant emitting codes, convs on the integer datapath. */
-    QuantAct forwardQuantized(QuantAct &x) override;
-    /** Composite emitter: fused SBN+ReLU+quantize producers of the
-     * convs' channel-last operands (quantized plans; SBN+ReLU then
-     * ActQuant in float plans), conv steps for both branches, and
-     * one residual-join step adding the branch outputs in the
-     * arena. */
+    /** Composite emitter: SBN+ReLU+quantize producers of the convs'
+     * channel-last operands (one fused step each in fused quantized
+     * plans, three steps unfused; SBN+ReLU then ActQuant in float
+     * plans), conv steps for both branches, and one residual-join
+     * step adding the branch outputs in the arena. */
     void emitPlanSteps(serve::PlanBuilder &b) override;
     void collectParameters(std::vector<Parameter *> &out) override;
     void collectWeightQuantized(

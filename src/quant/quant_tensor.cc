@@ -158,26 +158,6 @@ namespace {
 
 template <typename T>
 void
-stageCodes(const QuantTensor &q, const ChannelLastCodes &cl, T *buf)
-{
-    using IL = ChannelInterleave<T>;
-    const int c = cl.c, h = cl.h, w = cl.w;
-    const size_t plane = static_cast<size_t>(h) * w;
-    const int32_t *src = q.codes.data();
-    cl.fillRows(buf, [=](int ni, int y, T *dst) {
-        const int32_t *row =
-            src + static_cast<size_t>(ni) * c * plane +
-            static_cast<size_t>(y) * w;
-        int ci = 0;
-        for (; ci + IL::kGroup <= c; ci += IL::kGroup)
-            IL::group(row + ci * plane, plane, w, dst + ci, c);
-        for (; ci < c; ++ci)
-            IL::single(row + ci * plane, w, dst + ci, c);
-    });
-}
-
-template <typename T>
-void
 unstageCodes(const ChannelLastCodes &cl, const T *buf, int32_t *out)
 {
     const int c = cl.c, h = cl.h, w = cl.w, wp = cl.paddedW();
@@ -217,21 +197,6 @@ ChannelLastCodes::reshape(int n_, int c_, int h_, int w_, int pad_,
         u8.resize(total);
     else
         u16.resize(total);
-}
-
-void
-ChannelLastCodes::stage(const QuantTensor &q, int pad_)
-{
-    TWOINONE_ASSERT(q.shape.size() == 4 && !q.isSigned && q.bits >= 1 &&
-                        q.bits <= 16,
-                    "channel-last staging needs 4-D unsigned codes of "
-                    "<= 16 bits");
-    reshape(q.shape[0], q.shape[1], q.shape[2], q.shape[3], pad_, q.bits);
-    scale = q.scale;
-    if (narrow())
-        stageCodes(q, *this, u8.data());
-    else
-        stageCodes(q, *this, u16.data());
 }
 
 void

@@ -186,11 +186,6 @@ struct ChannelLastCodes
      * (the contents are left for the producer to overwrite). */
     void reshape(int n, int c, int h, int w, int pad, int bits);
 
-    /** Restage NCHW unsigned codes (<= 16 bits) channel-last with a
-     * @p pad border — the integer conv's input when no channel-last
-     * producer ran (the per-layer loop, the stem conv). */
-    void stage(const QuantTensor &q, int pad);
-
     /** The NCHW int32 codes back (traces and float fallbacks). */
     void toQuantTensor(QuantTensor &out) const;
 

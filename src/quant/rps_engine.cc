@@ -197,23 +197,32 @@ RpsEngine::setPrecision(int bits)
     // Bring the installed column current: hydrate absent cells from
     // the streaming artifact when one is attached, and re-quantize
     // cells whose master weights moved (the lazy column rebuild —
-    // only the column being consumed pays).
-    ThreadPool::global().parallelFor(
-        0, static_cast<int64_t>(layers_.size()), 1,
-        [&](int64_t lo, int64_t hi) {
-            for (int64_t l = lo; l < hi; ++l) {
-                size_t ls = static_cast<size_t>(l);
-                CacheEntry &e = cache_[ls][idx];
-                ensureCell(ls, idx);
-                // First install of this cell: build the tile-packed
-                // kernel weights (rebuilds keep them current after
-                // this). Packing is a data-layout copy, not a
-                // quantization, so it does not count as a column
-                // rebuild — checkpoint warm starts stay at zero.
-                if (!e.packedReady)
-                    packEntry(ls, e);
-            }
-        });
+    // only the column being consumed pays). A warm switch finds
+    // every cell built, current and packed in one serial scan and
+    // skips the pool dispatch, which would cost more than the
+    // installs.
+    bool work = false;
+    for (size_t l = 0; l < layers_.size() && !work; ++l)
+        work = cellStale(l, idx) || !cache_[l][idx].packedReady;
+    if (work) {
+        ThreadPool::global().parallelFor(
+            0, static_cast<int64_t>(layers_.size()), 1,
+            [&](int64_t lo, int64_t hi) {
+                for (int64_t l = lo; l < hi; ++l) {
+                    size_t ls = static_cast<size_t>(l);
+                    CacheEntry &e = cache_[ls][idx];
+                    ensureCell(ls, idx);
+                    // First install of this cell: build the
+                    // tile-packed kernel weights (rebuilds keep them
+                    // current after this). Packing is a data-layout
+                    // copy, not a quantization, so it does not count
+                    // as a column rebuild — checkpoint warm starts
+                    // stay at zero.
+                    if (!e.packedReady)
+                        packEntry(ls, e);
+                }
+            });
+    }
     const uint64_t tick = ++useTick_;
     for (size_t l = 0; l < layers_.size(); ++l) {
         cache_[l][idx].lastUse = tick;

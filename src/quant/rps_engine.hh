@@ -15,8 +15,9 @@
  * the STE mask from the masters and that grid's scale
  * (steMaskSigned) — so the cached float forward and backward are
  * bit-identical to the uncached re-quantizing path. The same codes
- * feed the integer forward (Network::forwardQuantized) and the
- * bit-serial datapath simulator (accel/array_sim) directly.
+ * and packs feed the integer conv and Linear steps of every quantized
+ * plan (Network::forwardQuantized's reference and the serving plans)
+ * and the bit-serial datapath simulator (accel/array_sim) directly.
  *
  * A precision switch is O(#layers): pointer installs of the codes and
  * the pack into each layer. Cells live in stable storage; refresh()

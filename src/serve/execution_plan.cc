@@ -1,8 +1,9 @@
 /**
  * @file
  * ExecutionPlan implementation: builder plumbing, the compile walk
- * (with the SBN+ReLU and SBN+ReLU+quantize fusion peepholes), warm-up
- * sizing, and the allocation-free dispatch loop.
+ * (with the SBN+ReLU and SBN+ReLU+quantize fusion peepholes and the
+ * channel-last operand producers), warm-up sizing, and the
+ * allocation-free dispatch loop.
  */
 
 #include "serve/execution_plan.hh"
@@ -23,6 +24,12 @@ PlanMode
 PlanBuilder::mode() const
 {
     return plan_.mode();
+}
+
+bool
+PlanBuilder::fuse() const
+{
+    return plan_.fuse_;
 }
 
 int
@@ -77,7 +84,7 @@ std::unique_ptr<ExecutionPlan>
 ExecutionPlan::compile(Network &net, const PrecisionSet &precisions,
                        PlanMode mode,
                        const std::vector<int> &max_input_shape,
-                       bool warm_all)
+                       bool warm_all, bool fuse)
 {
     TWOINONE_ASSERT(net.numLayers() > 0, "compiling an empty network");
     TWOINONE_ASSERT(!max_input_shape.empty() && max_input_shape[0] > 0,
@@ -91,45 +98,56 @@ ExecutionPlan::compile(Network &net, const PrecisionSet &precisions,
 
     std::unique_ptr<ExecutionPlan> plan(new ExecutionPlan());
     plan->mode_ = mode;
+    plan->fuse_ = fuse;
     plan->maxShape_ = max_input_shape;
     plan->values_.emplace_back(); // id 0: the external input
     plan->inputId_ = 0;
 
     PlanBuilder b(*plan);
     b.setTop(plan->inputId_);
+    const bool quantized = mode == PlanMode::Quantized;
+    const size_t nl = net.numLayers();
+    auto convAt = [&](size_t i) {
+        return i < nl ? dynamic_cast<Conv2d *>(&net.layer(i)) : nullptr;
+    };
     // The integer datapath quantizes the network input so the stem
     // conv consumes codes — straight into its channel-last operand
     // form; the float path feeds the raw input.
-    const size_t nl = net.numLayers();
-    if (mode == PlanMode::Quantized) {
-        if (auto *stem = dynamic_cast<Conv2d *>(&net.layer(0)))
+    if (quantized) {
+        if (Conv2d *stem = convAt(0))
             net.inputQuant().emitChannelLastPlanStep(b, stem->padding());
         else
             net.inputQuant().emitPlanSteps(b);
     }
     for (size_t i = 0; i < nl; ++i) {
         Layer *l = &net.layer(i);
-        // Peephole: an SBN immediately followed by a ReLU runs as one
-        // fused normalize+rectify pass (identical per-element
-        // arithmetic, one buffer and one sweep saved). In a quantized
-        // plan, when an ActQuant follows and a conv consumes it, the
-        // quantize joins the pass too: one producer step writing the
-        // conv's channel-last operand codes.
+        // Peephole (fused plans): an SBN immediately followed by a
+        // ReLU runs as one fused normalize+rectify pass (identical
+        // per-element arithmetic, one buffer and one sweep saved). In
+        // a quantized plan, when an ActQuant follows and a conv
+        // consumes it, the quantize joins the pass too: one producer
+        // step writing the conv's channel-last operand codes.
         auto *bn = dynamic_cast<SwitchableBatchNorm2d *>(l);
-        if (bn && i + 1 < nl &&
+        if (fuse && bn && i + 1 < nl &&
             dynamic_cast<ReLU *>(&net.layer(i + 1)) != nullptr) {
             auto *aq = i + 2 < nl ? dynamic_cast<ActQuant *>(&net.layer(i + 2))
                                   : nullptr;
-            auto *conv = i + 3 < nl
-                             ? dynamic_cast<Conv2d *>(&net.layer(i + 3))
-                             : nullptr;
-            if (mode == PlanMode::Quantized && aq && conv) {
+            Conv2d *conv = convAt(i + 3);
+            if (quantized && aq && conv) {
                 bn->emitFusedQuantProducer(b, *aq, conv->padding());
                 i += 2;
                 continue;
             }
             bn->emitFusedBnRelu(b);
             ++i;
+            continue;
+        }
+        // An ActQuant feeding a conv writes the conv's channel-last
+        // operand, the only code form a conv step reads.
+        auto *aq = dynamic_cast<ActQuant *>(l);
+        Conv2d *conv = convAt(i + 1);
+        if (quantized && aq && conv) {
+            aq->emitChannelLastPlanStep(b, conv->padding());
             continue;
         }
         l->emitPlanSteps(b);
@@ -158,6 +176,18 @@ ExecutionPlan::compile(Network &net, const PrecisionSet &precisions,
     return plan;
 }
 
+bool
+ExecutionPlan::fits(const Tensor &x) const
+{
+    if (x.ndim() != static_cast<int>(maxShape_.size()) ||
+        x.dim(0) > maxShape_[0])
+        return false;
+    for (size_t i = 1; i < maxShape_.size(); ++i)
+        if (x.dim(static_cast<int>(i)) != maxShape_[i])
+            return false;
+    return true;
+}
+
 void
 ExecutionPlan::execute()
 {
@@ -171,16 +201,10 @@ ExecutionPlan::execute()
 const Tensor &
 ExecutionPlan::run(const Tensor &x)
 {
-    TWOINONE_ASSERT(x.ndim() == static_cast<int>(maxShape_.size()),
-                    "plan input rank mismatch");
-    TWOINONE_ASSERT(x.dim(0) > 0 && x.dim(0) <= maxShape_[0],
-                    "plan batch ", x.dim(0), " exceeds compiled max ",
-                    maxShape_[0]);
-    for (size_t i = 1; i < maxShape_.size(); ++i) {
-        TWOINONE_ASSERT(x.dim(static_cast<int>(i)) ==
-                            maxShape_[i],
-                        "plan input dim ", i, " mismatch");
-    }
+    TWOINONE_ASSERT(fits(x) && x.dim(0) > 0,
+                    "plan input does not fit the compiled shape (batch ",
+                    x.ndim() > 0 ? x.dim(0) : 0, ", max ", maxShape_[0],
+                    ")");
     input_ = &x;
     execute();
     return values_[static_cast<size_t>(outputId_)].denseView();

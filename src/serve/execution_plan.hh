@@ -1,16 +1,14 @@
 /**
  * @file
- * Compiled execution plans: the serving datapath behind Session's
- * inference calls, the serving runtimes (one replica per worker) and
- * the evaluation helpers. The network's own inference entry points
- * run the per-layer loops, which are the reference every plan is
- * bit-identical to.
+ * Compiled execution plans: the one inference executor. Session's
+ * inference calls, the serving Server (one replica per worker), the
+ * evaluation helpers and the network's own integer reference
+ * (Network::forwardQuantized) all run a plan.
  *
  * A Network is compiled once per (mode, max input shape) into an
  * ExecutionPlan — a flat list of steps (input quantize, int im2col +
- * igemm + fused dequant/bias, fused BN/ReLU, fused BN/ReLU/quantize
- * producers of channel-last conv operands, activation quantize,
- * pool, residual join, classifier GEMM) over a preallocated arena of
+ * igemm + fused dequant/bias, BN, ReLU, activation quantize, pool,
+ * residual join, classifier GEMM) over a preallocated arena of
  * activation values, per-layer scratch buffers and one plan-wide
  * operand staging block. Executing a plan
  * performs *zero tensor allocations*: every buffer is sized during
@@ -18,11 +16,16 @@
  * reused across forwards; Tensor::allocationCount() pins the contract
  * in tests.
  *
- * Every step runs the same kernels as the per-layer loops
- * (Network::forward at eval, Network::forwardQuantized) — the layers'
- * *Into refactors are shared between both paths — so a plan forward
- * is bit-identical to the loop forward at every candidate precision,
- * cached or uncached. Precision state is read live from
+ * Producer fusion is a compile choice. A fused plan (every serving
+ * plan) runs an SBN followed by a ReLU as one pass, and when an
+ * ActQuant and a conv follow, as one producer of the conv's
+ * channel-last operand codes. An unfused plan (the network's
+ * reference) runs each layer as its own step. Either way an ActQuant
+ * whose consumers are all convs writes their channel-last operand,
+ * and a conv step reads only channel-last codes or falls back to
+ * float. The fused steps compute each element exactly as the unfused
+ * ones do, so both plans are bit-identical at every candidate
+ * precision, cached or uncached. Precision state is read live from
  * the layers at execution time: RpsEngine::setPrecision() between
  * runs switches the plan with no recompilation.
  *
@@ -57,21 +60,23 @@ class ExecutionPlan;
 
 /** Which forward path a plan compiles. */
 enum class PlanMode {
-    /** The float fake-quant datapath (Network::forward at eval). */
+    /** The float fake-quant datapath, bit-identical to
+     * Network::forward at eval. */
     Float,
-    /** The integer-code datapath (Network::forwardQuantized). */
+    /** The integer-code datapath (Network::forwardQuantized runs it
+     * unfused). */
     Quantized,
 };
 
 /**
  * An arena-resident activation value: integer codes and/or a float
- * view, mirroring QuantAct but with persistent storage. Steps write
- * NCHW codes (hasCodes), channel-last conv operand codes
- * (hasChannelLast — the fused SBN+ReLU+quantize producers, whose
- * consumers are all integer convs) or dense (denseReady), or alias
- * another tensor (pass-through and the external input); denseView()
- * materializes the float view from the codes on demand, into arena
- * storage.
+ * view, with persistent storage. Steps write NCHW codes (hasCodes:
+ * an ActQuant feeding a non-conv consumer, GlobalAvgPool),
+ * channel-last conv operand codes (hasChannelLast: an ActQuant or a
+ * fused SBN+ReLU+quantize producer whose consumers are all convs) or
+ * dense (denseReady), or alias another tensor (pass-through and the
+ * external input); denseView() materializes the float view from the
+ * codes on demand, into arena storage.
  */
 struct Value
 {
@@ -144,6 +149,9 @@ class PlanBuilder
 
     PlanMode mode() const;
 
+    /** Whether producer fusion is on (see ExecutionPlan::compile). */
+    bool fuse() const;
+
     /** Id of the value feeding the next layer. */
     int top() const { return top_; }
     void setTop(int id) { top_ = id; }
@@ -185,11 +193,19 @@ class ExecutionPlan
      * cold-start latency for large candidate sets (the zero-allocation
      * steady state is reached per precision after its first serve).
      * The network's active precision is restored on return.
+     * @p fuse (the default) turns the SBN+ReLU and
+     * SBN+ReLU+ActQuant producer peepholes on; with it off every
+     * layer runs as its own step — the network's reference plan.
      */
     static std::unique_ptr<ExecutionPlan>
     compile(Network &net, const PrecisionSet &precisions, PlanMode mode,
             const std::vector<int> &max_input_shape,
-            bool warm_all = true);
+            bool warm_all = true, bool fuse = true);
+
+    /** Whether @p x runs on this plan: same rank and trailing dims as
+     * the compiled shape, batch within maxBatch(). Owners of a plan
+     * recompile for inputs that do not fit. */
+    bool fits(const Tensor &x) const;
 
     /**
      * Execute the plan on @p x (x.dim(0) <= maxBatch(), trailing dims
@@ -259,6 +275,7 @@ class ExecutionPlan
     void execute();
 
     PlanMode mode_ = PlanMode::Float;
+    bool fuse_ = true;
     std::vector<int> maxShape_;
     std::vector<int> outShape_;
     std::vector<Step> steps_;

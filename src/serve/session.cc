@@ -228,15 +228,7 @@ Session::plan(serve::PlanMode mode, const Tensor &x)
 {
     std::unique_ptr<serve::ExecutionPlan> &slot =
         mode == serve::PlanMode::Float ? floatPlan_ : quantPlan_;
-    bool fits = slot != nullptr;
-    if (fits) {
-        const std::vector<int> &max = slot->maxInputShape();
-        fits = x.ndim() == static_cast<int>(max.size()) &&
-               x.dim(0) <= max[0];
-        for (size_t i = 1; fits && i < max.size(); ++i)
-            fits = x.dim(static_cast<int>(i)) == max[i];
-    }
-    if (!fits)
+    if (!slot || !slot->fits(x))
         slot = net_->compile(net_->precisionSet(), mode, x.shape());
     return *slot;
 }

@@ -23,7 +23,8 @@
  *  - attach(net): non-owning variant for callers that keep driving
  *    the network directly (the evaluation harness). The session's
  *    plans are its own: the network's own entry points keep running
- *    the per-layer reference loops, during and after the session.
+ *    its layer loop (forward) and its unfused reference plan
+ *    (forwardQuantized), during and after the session.
  *
  * Batched serving (submit/drain/serve) runs on a session-owned,
  * single-tenant serve::Server built on first submit: paused, with
@@ -185,7 +186,8 @@ class Session
 
     /** @name Direct inference (active precision)
      * predict / predictQuantized / forwardQuantized run the session's
-     * compiled plans, bit-identical to the network's per-layer loops.
+     * compiled (fused) plans, bit-identical to the network's eval
+     * forward and its unfused reference plan.
      * A plan compiles on first use for the call's input shape and
      * recompiles when a later call's batch grows past it or its
      * trailing dims differ. */

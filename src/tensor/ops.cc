@@ -49,11 +49,42 @@ parallelElems(size_t n, F &&f)
 }
 
 /**
+ * max over f(p[i]) for i in [b, e), starting from +0, by the rule
+ * m < v ? v : m (std::max's): NaN never wins and -0 never replaces
+ * +0. kLanes independent accumulators keep the loop in vector
+ * registers and are folded by the same rule. The rule picks the same
+ * bits in any order — the largest non-NaN value, +0 when none is
+ * positive — so the lanes leave the result bit-identical.
+ */
+template <typename F>
+float
+maxRange(const float *p, int64_t b, int64_t e, F &f)
+{
+    constexpr int kLanes = 32;
+    float lane[kLanes] = {};
+    int64_t i = b;
+    for (; i + kLanes <= e; i += kLanes) {
+        for (int j = 0; j < kLanes; ++j) {
+            float v = f(p[i + j]);
+            lane[j] = lane[j] < v ? v : lane[j];
+        }
+    }
+    float m = 0.0f;
+    for (; i < e; ++i) {
+        float v = f(p[i]);
+        m = m < v ? v : m;
+    }
+    for (float v : lane)
+        m = m < v ? v : m;
+    return m;
+}
+
+/**
  * max over f(a[i]) starting from 0, reduced over fixed
  * kElemGrain-sized chunks whose boundaries do not depend on the
  * thread count. Float max is exact under any combination order, so
- * the result is bit-identical to the serial reference, which the
- * naive backend keeps.
+ * the result is bit-identical to one serial pass, which the naive
+ * backend runs.
  */
 template <typename F>
 float
@@ -61,23 +92,16 @@ maxReduce(const Tensor &a, F &&f)
 {
     const int64_t n = static_cast<int64_t>(a.size());
     const float *p = a.data();
-    if (gemm::activeBackend() == gemm::Backend::Naive || n <= kElemGrain) {
-        float m = 0.0f;
-        for (int64_t i = 0; i < n; ++i)
-            m = std::max(m, f(p[i]));
-        return m;
-    }
+    if (gemm::activeBackend() == gemm::Backend::Naive || n <= kElemGrain)
+        return maxRange(p, 0, n, f);
     int64_t nchunks = (n + kElemGrain - 1) / kElemGrain;
     std::vector<float> partial(static_cast<size_t>(nchunks), 0.0f);
     ThreadPool::global().parallelFor(
         0, nchunks, 1, [&](int64_t lo, int64_t hi) {
             for (int64_t c = lo; c < hi; ++c) {
                 int64_t b = c * kElemGrain;
-                int64_t e = std::min(n, b + kElemGrain);
-                float m = 0.0f;
-                for (int64_t i = b; i < e; ++i)
-                    m = std::max(m, f(p[i]));
-                partial[static_cast<size_t>(c)] = m;
+                partial[static_cast<size_t>(c)] =
+                    maxRange(p, b, std::min(n, b + kElemGrain), f);
             }
         });
     float m = 0.0f;

@@ -2,7 +2,7 @@
  * @file
  * Tests for the versioned model artifact and the Session facade
  * (ISSUE 5): spec-driven reconstruction, save -> load -> bit-identical
- * inference at every rps4to16 candidate (legacy and plan-executed),
+ * inference at every rps4to16 candidate (reference and serving plans),
  * calibration-bank persistence, engine warm start from the serialized
  * code cache (no rebuild, no cache miss), and the
  * corrupted/truncated/version-mismatch error paths. CMake re-runs
@@ -119,9 +119,9 @@ TEST(Checkpoint, SaveLoadBitIdenticalAtEveryCandidate)
         Tensor f_ref = engine.forwardAt(bits, x);
         Tensor q_ref = engine.forwardQuantizedAt(bits, x);
         s.switchPrecision(bits);
-        // Plan-routed session forwards against the original's legacy
-        // loops: bit-identity must hold across the process boundary
-        // AND the execution-path boundary.
+        // Fused session plans against the original's eval loop and
+        // unfused reference plan: bit-identity must hold across the
+        // process boundary AND the execution-path boundary.
         expectBitIdentical(f_ref, s.forward(x), bits);
         expectBitIdentical(q_ref, s.forwardQuantized(x), bits);
     }
@@ -666,8 +666,9 @@ TEST(Session, ServeMatchesEngineForward)
     for (size_t i = 0; i < requests.size(); ++i) {
         Tensor y_ref =
             s.engine().forwardQuantizedAt(trace[i], requests[i]);
-        // serve() runs plan replicas; the direct forward runs the
-        // legacy loop — bit-identical with calibrated static scales.
+        // serve() runs fused plan replicas; the direct forward runs
+        // the unfused reference plan — bit-identical with calibrated
+        // static scales.
         ASSERT_EQ(y_ref.size(), results[i].size());
         for (size_t j = 0; j < y_ref.size(); ++j)
             ASSERT_EQ(y_ref[j], results[i][j]) << "req " << i;
@@ -821,7 +822,8 @@ TEST(Session, FailedSwitchPrecisionKeepsPriorPrecisionServing)
 
 /** A dead attached session leaves the caller's network computing
  * exactly what it computed before: the session's plans were its own
- * and the network's entry points keep their per-layer loops. */
+ * and the network's entry points keep their eval loop and unfused
+ * reference plan. */
 TEST(Session, DeadAttachedSessionLeavesNetworkOutputsUnchanged)
 {
     Network net = makeTinyNet(49);

@@ -540,7 +540,7 @@ expectLinearMatchesIgemm(Linear *fc, int bits)
  * every weight-quantized layer of convNetTiny (stem, inner conv,
  * Linear head) at bits {2,4,8,16} and of preActResNetMini (including
  * the projection shortcut) at every candidate, through both the
- * per-layer loop and a compiled plan. */
+ * unfused reference plan and a compiled fused plan. */
 TEST(ForwardQuantized, CodesBitIdenticalToBitSerialDatapath)
 {
     Rng rng(47);
@@ -563,7 +563,7 @@ TEST(ForwardQuantized, CodesBitIdenticalToBitSerialDatapath)
 
         for (int bits : net.precisionSet().bits()) {
             for (bool via_plan : {false, true}) {
-                SCOPED_TRACE(via_plan ? "plan" : "loop");
+                SCOPED_TRACE(via_plan ? "fused plan" : "reference plan");
                 for (WeightQuantizedLayer *l : layers) {
                     l->setQuantTrace(false); // drop the last trace
                     l->setQuantTrace(true);

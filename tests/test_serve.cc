@@ -1,9 +1,12 @@
 /**
  * @file
  * Tests for the compiled execution plans and batched RPS serving
- * through Session: plan forwards must be bit-identical to the
- * legacy per-layer loops at every candidate precision (cached,
- * uncached, calibrated, full precision), allocate zero tensors after
+ * through Session: float plans must be bit-identical to the eval
+ * layer loop and fused quantized plans to the network's unfused
+ * reference plan (Network::forwardQuantized) at every candidate
+ * precision (cached, uncached, calibrated, full precision), and the
+ * traced conv accumulators to plain gemm::igemmTransB; plans allocate
+ * zero tensors after
  * compile, reuse the arena safely across batch sizes, and Session
  * serving must sample precisions deterministically from its
  * seed with outputs independent of the thread count (CMake re-runs
@@ -13,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "common/thread_pool.hh"
 #include "nn/activation.hh"
@@ -64,9 +69,9 @@ expectBitIdentical(const Tensor &a, const Tensor &b, int bits)
         ASSERT_EQ(a[i], b[i]) << "bits=" << bits << " i=" << i;
 }
 
-/** Float-mode plans reproduce the legacy eval forward bit-for-bit at
+/** Float-mode plans reproduce the eval layer loop bit-for-bit at
  * every candidate (cached and uncached) and at full precision. */
-TEST(ExecutionPlan, FloatBitIdenticalToLegacyAllPrecisions)
+TEST(ExecutionPlan, FloatBitIdenticalToEvalLoopAllPrecisions)
 {
     Network net = makeResidualNet(42);
     Tensor x = makeInput(7);
@@ -91,10 +96,10 @@ TEST(ExecutionPlan, FloatBitIdenticalToLegacyAllPrecisions)
     expectBitIdentical(y_fp, plan->run(x), 0);
 }
 
-/** Quantized-mode plans reproduce the legacy integer forward
- * bit-for-bit — dynamic activation ranges and calibrated static
+/** Fused quantized plans reproduce the unfused reference plan
+ * (Network::forwardQuantized) bit-for-bit — dynamic activation ranges and calibrated static
  * scales, every candidate, plus the full-precision passthrough. */
-TEST(ExecutionPlan, QuantizedBitIdenticalToLegacyAllPrecisions)
+TEST(ExecutionPlan, FusedBitIdenticalToUnfusedAllPrecisions)
 {
     Network net = makeResidualNet(43);
     Tensor x = makeInput(8);
@@ -139,6 +144,48 @@ TEST(ExecutionPlan, QuantizedBitIdenticalTinyNet)
         engine.setPrecision(bits);
         Tensor y_ref = net.forwardQuantized(x);
         expectBitIdentical(y_ref, plan->run(x), bits);
+    }
+}
+
+/** Counts the steps of @p plan whose label starts with @p label. */
+int
+countSteps(const serve::ExecutionPlan &plan, const std::string &label)
+{
+    std::istringstream lines(plan.describe());
+    std::string line;
+    int n = 0;
+    while (std::getline(lines, line))
+        n += line.rfind("  " + label, 0) == 0 ? 1 : 0;
+    return n;
+}
+
+/** Producer fusion is the only difference between a fused and an
+ * unfused quantized plan: the unfused one runs every SBN, ReLU and
+ * ActQuant as its own step (each ActQuant feeding convs writing their
+ * channel-last operand), the fused one merges SBN+ReLU(+ActQuant),
+ * and both produce the same logits at every candidate. */
+TEST(ExecutionPlan, UnfusedPlanRunsEveryLayerAsItsOwnStep)
+{
+    Network net = makeResidualNet(53);
+    Tensor x = makeInput(17);
+    RpsEngine engine(net);
+    std::unique_ptr<serve::ExecutionPlan> fused = net.compile(
+        net.precisionSet(), serve::PlanMode::Quantized, x.shape());
+    std::unique_ptr<serve::ExecutionPlan> unfused =
+        net.compile(net.precisionSet(), serve::PlanMode::Quantized,
+                    x.shape(), /*warm_all=*/false, /*fuse=*/false);
+
+    EXPECT_EQ(countSteps(*unfused, "sbn+relu"), 0);
+    EXPECT_GT(countSteps(*unfused, "actquant[channel-last]"), 1);
+    EXPECT_EQ(countSteps(*unfused, "sbn"), countSteps(*unfused, "relu"));
+    EXPECT_GT(countSteps(*fused, "sbn+relu+actquant[channel-last]"), 0);
+    EXPECT_GT(unfused->numSteps(), fused->numSteps());
+
+    for (int bits : net.precisionSet().bits()) {
+        engine.setPrecision(bits);
+        Tensor y_unfused = unfused->run(x);
+        expectBitIdentical(y_unfused, fused->run(x), bits);
+        expectBitIdentical(y_unfused, net.forwardQuantized(x), bits);
     }
 }
 
@@ -225,10 +272,11 @@ TEST(ExecutionPlan, DeterministicAcrossThreadCounts)
 }
 
 /** Session's plan-run entry points are bit-identical to the
- * network's per-layer loops at every candidate: on the first batch
+ * network's eval loop and unfused reference plan at every candidate:
+ * on the first batch
  * (compiles), a larger batch (recompiles), a smaller batch (reuses the
  * plan) and a different trailing shape (recompiles). */
-TEST(Session, EntryPointsBitIdenticalToNetworkLoops)
+TEST(Session, EntryPointsBitIdenticalToNetworkReference)
 {
     Network net = makeTinyNet(48);
     Session s = Session::attach(net);
@@ -301,10 +349,10 @@ expectTracedConvMatchesIgemm(Conv2d *conv, int bits)
  * conv, and a block whose stride-2 3x3 conv and 1x1 p0 projection
  * both read one p1-padded producer buffer — over odd H/W at batch 1
  * and 3. At every candidate, with dynamic and calibrated ranges, the
- * plan's logits equal the per-layer loop's, and every conv's traced
- * NCHW codes and accumulators agree between plan and loop and with
- * plain gemm::igemmTransB. */
-TEST(ExecutionPlan, RaggedConvGeometriesMatchLoopAndIgemm)
+ * fused plan's logits equal the unfused reference plan's, and every
+ * conv's traced NCHW codes and accumulators agree between the two
+ * plans and with plain gemm::igemmTransB. */
+TEST(ExecutionPlan, RaggedConvGeometriesMatchReferenceAndIgemm)
 {
     Rng rng(52);
     Network net(PrecisionSet::rps4to16());
@@ -355,8 +403,8 @@ TEST(ExecutionPlan, RaggedConvGeometriesMatchLoopAndIgemm)
                     plan_codes.push_back(conv->tracedActCodes().codes);
                 }
 
-                Tensor y_loop = net.forwardQuantized(x);
-                expectBitIdentical(y_loop, y_plan, bits);
+                Tensor y_ref = net.forwardQuantized(x);
+                expectBitIdentical(y_ref, y_plan, bits);
                 for (size_t i = 0; i < convs.size(); ++i) {
                     expectTracedConvMatchesIgemm(convs[i], bits);
                     EXPECT_EQ(plan_codes[i],

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 
@@ -185,6 +189,98 @@ TEST(Ops, Reductions)
     EXPECT_FLOAT_EQ(ops::maxAbs(a), 4.0f);
     EXPECT_FLOAT_EQ(ops::l2Norm(a),
                     std::sqrt(1.0f + 4.0f + 9.0f + 16.0f));
+}
+
+uint32_t
+floatBits(float f)
+{
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+/** The rule maxAbs / maxVal must reproduce bit-for-bit: from +0,
+ * m < v ? v : m, one element at a time. */
+float
+serialMax(const Tensor &a, bool abs)
+{
+    float m = 0.0f;
+    for (size_t i = 0; i < a.size(); ++i) {
+        float v = abs ? std::fabs(a[i]) : a[i];
+        m = m < v ? v : m;
+    }
+    return m;
+}
+
+/** maxAbs / maxVal over NaN, +-0, +-inf, all-negative and empty
+ * inputs, at sizes below, at and above the 32K-element parallel chunk
+ * (and off the vector lane count): NaN never wins, the floor is +0,
+ * and every result is bit-identical to the serial rule. */
+TEST(Ops, MaxReductionsSpecialValues)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Tensor empty;
+    EXPECT_EQ(floatBits(ops::maxAbs(empty)), 0u);
+    EXPECT_EQ(floatBits(ops::maxVal(empty)), 0u);
+
+    const int kChunk = 1 << 15;
+    for (int n : {1, 5, 31, 32, 33, 100, kChunk - 1, kChunk, kChunk + 1,
+                  3 * kChunk + 45}) {
+        Rng rng(static_cast<uint64_t>(n));
+        const Tensor base = Tensor::uniform({n}, rng, -1.0f, 1.0f);
+        const size_t last = static_cast<size_t>(n) - 1;
+        auto check = [&](const char *what, const Tensor &t) {
+            SCOPED_TRACE(std::string(what) + " n=" + std::to_string(n));
+            EXPECT_EQ(floatBits(ops::maxAbs(t)),
+                      floatBits(serialMax(t, true)));
+            EXPECT_EQ(floatBits(ops::maxVal(t)),
+                      floatBits(serialMax(t, false)));
+        };
+        check("uniform", base);
+
+        Tensor neg = base;
+        for (size_t i = 0; i < neg.size(); ++i)
+            neg[i] = -std::fabs(neg[i]) - 0.5f;
+        check("all negative", neg);
+        EXPECT_EQ(floatBits(ops::maxVal(neg)), 0u) << "n=" << n;
+
+        Tensor zeros(base.shape());
+        zeros.fill(-0.0f);
+        zeros[last] = 0.0f;
+        zeros[0] = -0.0f;
+        check("signed zeros", zeros);
+        EXPECT_EQ(floatBits(ops::maxAbs(zeros)), 0u) << "n=" << n;
+        EXPECT_EQ(floatBits(ops::maxVal(zeros)), 0u) << "n=" << n;
+
+        Tensor nans = base;
+        nans[0] = nan;
+        nans[last / 2] = nan;
+        nans[last] = nan;
+        check("NaN", nans);
+        Tensor dense_nans = base;
+        for (size_t i = 0; i < dense_nans.size(); i += 3)
+            dense_nans[i] = nan;
+        check("every third NaN", dense_nans);
+        Tensor all_nan(base.shape());
+        all_nan.fill(nan);
+        EXPECT_EQ(floatBits(ops::maxAbs(all_nan)), 0u) << "n=" << n;
+        EXPECT_EQ(floatBits(ops::maxVal(all_nan)), 0u) << "n=" << n;
+
+        Tensor pinf = base;
+        pinf[last] = inf;
+        check("+inf", pinf);
+        EXPECT_EQ(ops::maxVal(pinf), inf) << "n=" << n;
+        Tensor ninf = base;
+        ninf[last / 3] = -inf;
+        check("-inf", ninf);
+        EXPECT_EQ(ops::maxAbs(ninf), inf) << "n=" << n;
+
+        Tensor tail = base;
+        tail[last] = 2.0f;
+        check("peak at the tail", tail);
+        EXPECT_EQ(ops::maxVal(tail), 2.0f) << "n=" << n;
+    }
 }
 
 TEST(Ops, ArgmaxRow)
